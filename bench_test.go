@@ -366,15 +366,29 @@ func BenchmarkPolicyEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkLedgerExposure times one owner's exposure query over engine-like
+// traffic: feedback reports, profile disclosures and PriServ-style named
+// items.
 func BenchmarkLedgerExposure(b *testing.B) {
 	l := privacy.NewLedger()
 	rng := sim.NewRNG(1)
 	for k := 0; k < 5000; k++ {
-		l.Record(privacy.Disclosure{
-			Owner: rng.Intn(50), Item: fmt.Sprintf("item/%d", rng.Intn(200)),
-			Sensitivity: social.Sensitivity(rng.Intn(4) + 1),
-			Recipient:   rng.Intn(50), Consented: true,
-		})
+		owner := rng.Intn(50)
+		switch rng.Intn(3) {
+		case 0:
+			l.RecordFeedback(owner)
+		case 1:
+			l.Record(privacy.Disclosure{
+				Owner: owner, Item: fmt.Sprintf("profile/%d", owner),
+				Sensitivity: social.Medium, Recipient: rng.Intn(50), Consented: true,
+			})
+		default:
+			l.Record(privacy.Disclosure{
+				Owner: owner, Item: fmt.Sprintf("item/%d", rng.Intn(200)),
+				Sensitivity: social.Sensitivity(rng.Intn(4) + 1),
+				Recipient:   rng.Intn(50), Consented: true,
+			})
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -63,7 +63,8 @@ func main() {
 	g := withRep.Assess().GlobalFacets()
 	fmt.Println("== the privacy cost of that protection ==")
 	fmt.Printf("feedback reports disclosed to the mechanism: %d\n", withRep.SharedReports())
-	fmt.Printf("ledgered disclosure events: %d\n", withRep.Ledger().Len())
+	disclosures, _ := withRep.Ledger().Totals()
+	fmt.Printf("ledgered disclosures: %d\n", disclosures)
 	fmt.Printf("mean privacy facet: %.3f (1.0 = nothing shared)\n", g.Privacy)
 
 	trust, err := trustnet.Combine(g, trustnet.DefaultWeights())

@@ -97,10 +97,11 @@ func main() {
 		fmt.Printf("  %-25s %d\n", reason, svc.Denials[reason])
 	}
 
-	// Each member can see exactly what about them went where.
+	// Each member can see what about them was disclosed and at what cost.
 	someone := 3
-	fmt.Printf("\nmember %d's disclosure log (%d events), exposure %.2f, privacy facet %.3f\n",
-		someone, len(ledger.EventsFor(someone)), ledger.Exposure(someone), ledger.PrivacyFacet(someone, 10))
+	disclosures, _ := ledger.Tally(someone)
+	fmt.Printf("\nmember %d's disclosures: %d, exposure %.2f, privacy facet %.3f\n",
+		someone, disclosures, ledger.Exposure(someone), ledger.PrivacyFacet(someone, 10))
 
 	// Run retention expiries, then audit.
 	if err := s.Run(s.Now() + 2000); err != nil {

@@ -399,7 +399,7 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 	for _, u := range satTouched {
 		d.facetDirty.Mark(u)
 	}
-	// The ledger owns its dirty list and the refresh below resets it, so
+	// The ledger owns its dirty list and the reset below clears it, so
 	// snapshot it first.
 	d.ledgerDirtyBuf = append(d.ledgerDirtyBuf[:0], d.eng.LedgerDirtyOwners()...)
 	for _, u := range d.ledgerDirtyBuf {
@@ -413,10 +413,10 @@ func (d *Dynamics) EpochCtx(ctx context.Context) (EpochStats, error) {
 		dirtyFacets = n
 	}
 
-	// Refresh the ledger's facet cache sequentially, then fold the touched
-	// leaves into the aggregate trees (O(log n) each). A skipped leaf's
-	// sources are untouched, so its recomputed value would be bit-identical.
-	d.eng.RefreshPrivacyFacets()
+	// Fold the touched leaves into the aggregate trees (O(log n) each). A
+	// skipped leaf's sources are untouched, so its recomputed value would be
+	// bit-identical.
+	d.eng.ResetLedgerDirty()
 	for _, u := range satTouched {
 		d.satTree.Set(u, d.eng.UserSatisfaction(u))
 	}

@@ -126,12 +126,21 @@ func (d *Dynamics) Restore(st DynamicsState) error {
 	if st.BaseHonesty < 0 || st.BaseHonesty > 1 {
 		return fmt.Errorf("core: snapshot base honesty %v out of [0,1]", st.BaseHonesty)
 	}
-	if err := d.eng.Restore(st.Engine); err != nil {
-		return fmt.Errorf("core: restore engine: %w", err)
+	// Every ledger owner is a peer: a feedback rater or an interacting
+	// consumer.
+	for _, o := range st.Ledger.Owners {
+		if o.Owner < 0 || o.Owner >= n {
+			return fmt.Errorf("core: snapshot ledger owner %d out of range [0,%d)", o.Owner, n)
+		}
 	}
 	// The ledger is restored in place: the workload engine and this Dynamics
 	// keep their existing pointer to it.
-	d.ledger.SetState(st.Ledger)
+	if err := d.ledger.SetState(st.Ledger); err != nil {
+		return fmt.Errorf("core: restore ledger: %w", err)
+	}
+	if err := d.eng.Restore(st.Engine); err != nil {
+		return fmt.Errorf("core: restore engine: %w", err)
+	}
 	if err := d.tm.SetState(st.Trust); err != nil {
 		return err
 	}

@@ -23,128 +23,124 @@ type Disclosure struct {
 	Consented   bool
 }
 
-// Ledger is the accountability record (OECD accountability + openness): it
-// stores every disclosure and answers the exposure queries that feed the
-// privacy facet. Per-owner aggregates (recipient sets, item sensitivities,
-// consent tallies) are maintained incrementally on Record, so the per-user
-// facet queries run by every epoch's measurement barrier touch only the
-// owner's own state instead of rescanning the whole event list — and are
-// therefore safe to fan out read-only over measurement shards.
+// feedbackExposure is one feedback disclosure's exposure term: a fresh
+// low-sensitivity item that reaches exactly one recipient, the mechanism.
+var feedbackExposure = SensitivityWeight(social.Low) * math.Log2(1+1)
+
+// Ledger is the accountability record (OECD accountability + openness) that
+// feeds the privacy facet. It keeps per-owner aggregates, not events, so its
+// size tracks owners × named items × recipients and never the length of the
+// run:
+//
+//   - a consent tally (disclosures, consented ones);
+//   - named items (a profile attribute, a PriServ key), each with its
+//     distinct recipient set and the maximum sensitivity it was disclosed
+//     at;
+//   - feedback disclosures (RecordFeedback), each a fresh single-recipient
+//     item, folded into a counter and a running exposure sum.
+//
+// Record and RecordFeedback update the aggregates in place and mark the owner
+// dirty. Every query reads only the owner's own aggregates, so the per-user
+// facet queries of an epoch's measurement barrier fan out read-only over
+// shards.
 type Ledger struct {
-	events []Disclosure
-	// byOwner[owner][item] -> set of recipients
-	byOwner map[int]map[string]map[int]bool //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	// sensByOwner[owner][item] -> max sensitivity weight seen for the item
-	sensByOwner map[int]map[string]float64 //trustlint:derived index rebuilt by replaying Events through Record on SetState
-	// consent[owner] -> (total, consented) disclosure tallies
-	consent map[int]consentTally //trustlint:derived index rebuilt by replaying Events through Record on SetState
-
-	// Facet cache: PrivacyFacet's item-key sort makes the cold query the
-	// most expensive per-user read in an epoch's measurement barrier, so
-	// owners whose ledger state did not change between barriers keep their
-	// previous value. Record marks the owner dirty; RefreshFacets (called
-	// sequentially, before any parallel fan-out) recomputes only the dirty
-	// owners. Readers never mutate the cache, so the fan-out stays race-free.
-	facetVal   []float64        //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetOK    []bool           //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetScale float64          //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetInit  bool             //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
-	facetDirty metrics.DirtySet //trustlint:derived cache dropped by SetState and recomputed by RefreshFacets
+	owners map[int]*OwnerState
+	// facetDirty marks owners whose aggregates changed since the last
+	// ResetDirty — the privacy leg of the epoch tail's facet dirty set.
+	facetDirty metrics.DirtySet
 }
-
-type consentTally struct{ total, ok int64 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		byOwner:     make(map[int]map[string]map[int]bool),
-		sensByOwner: make(map[int]map[string]float64),
-		consent:     make(map[int]consentTally),
-	}
+	return &Ledger{owners: make(map[int]*OwnerState)}
 }
 
-// Record appends a disclosure event and folds it into the per-owner
-// aggregates.
+// owner returns id's aggregates, created on first use, after counting one
+// disclosure into its consent tally.
+func (l *Ledger) owner(id int, consented bool) *OwnerState {
+	a := l.owners[id]
+	if a == nil {
+		a = &OwnerState{Owner: id}
+		l.owners[id] = a
+	}
+	a.Disclosures++
+	if consented {
+		a.Consented++
+	}
+	return a
+}
+
+// Record folds a disclosure of a named item into its owner's aggregates:
+// the consent tally, the item's recipient set and its maximum sensitivity.
 func (l *Ledger) Record(d Disclosure) {
-	l.events = append(l.events, d)
-	items := l.byOwner[d.Owner]
-	if items == nil {
-		items = make(map[string]map[int]bool)
-		l.byOwner[d.Owner] = items
+	a := l.owner(d.Owner, d.Consented)
+	i := sort.Search(len(a.Items), func(i int) bool { return a.Items[i].Item >= d.Item })
+	if i == len(a.Items) || a.Items[i].Item != d.Item {
+		a.Items = append(a.Items, ItemState{})
+		copy(a.Items[i+1:], a.Items[i:])
+		a.Items[i] = ItemState{Item: d.Item}
 	}
-	recips := items[d.Item]
-	if recips == nil {
-		recips = make(map[int]bool)
-		items[d.Item] = recips
+	it := &a.Items[i]
+	if w := SensitivityWeight(d.Sensitivity); w > it.Weight {
+		it.Weight = w
 	}
-	recips[d.Recipient] = true
-	sens := l.sensByOwner[d.Owner]
-	if sens == nil {
-		sens = make(map[string]float64)
-		l.sensByOwner[d.Owner] = sens
+	j := sort.SearchInts(it.Recipients, d.Recipient)
+	if j == len(it.Recipients) || it.Recipients[j] != d.Recipient {
+		it.Recipients = append(it.Recipients, 0)
+		copy(it.Recipients[j+1:], it.Recipients[j:])
+		it.Recipients[j] = d.Recipient
 	}
-	if w := SensitivityWeight(d.Sensitivity); w > sens[d.Item] {
-		sens[d.Item] = w
-	}
-	t := l.consent[d.Owner]
-	t.total++
-	if d.Consented {
-		t.ok++
-	}
-	l.consent[d.Owner] = t
 	l.facetDirty.Mark(d.Owner)
 }
 
-// Events returns all recorded events (shared; read-only).
-func (l *Ledger) Events() []Disclosure { return l.events }
-
-// Len returns the number of recorded events.
-func (l *Ledger) Len() int { return len(l.events) }
-
-// EventsFor returns the events about one owner's data, in recording order.
-// This is the OECD "individual participation" query: an individual can see
-// exactly what about them went where.
-func (l *Ledger) EventsFor(owner int) []Disclosure {
-	var out []Disclosure
-	for _, e := range l.events {
-		if e.Owner == owner {
-			out = append(out, e)
-		}
-	}
-	return out
+// RecordFeedback accounts one shared feedback report: the rater's
+// behavioural data, disclosed with consent and at low sensitivity to the
+// reputation mechanism. Each report is a fresh item with that single
+// recipient, so it adds the same fixed exposure term.
+func (l *Ledger) RecordFeedback(rater int) {
+	a := l.owner(rater, true)
+	a.Feedback++
+	a.FeedbackExposure += feedbackExposure
+	l.facetDirty.Mark(rater)
 }
 
-// Violations returns the non-consented disclosures (accountability audit
-// trail).
-func (l *Ledger) Violations() []Disclosure {
-	var out []Disclosure
-	for _, e := range l.events {
-		if !e.Consented {
-			out = append(out, e)
-		}
+// Tally returns how many disclosures about owner were recorded and how many
+// of them were consented.
+func (l *Ledger) Tally(owner int) (total, consented int64) {
+	if a := l.owners[owner]; a != nil {
+		return a.Disclosures, a.Consented
 	}
-	return out
+	return 0, 0
+}
+
+// Totals returns how many disclosures were recorded across all owners and
+// how many of them were consented.
+func (l *Ledger) Totals() (total, consented int64) {
+	for _, a := range l.owners {
+		total += a.Disclosures
+		consented += a.Consented
+	}
+	return total, consented
 }
 
 // Exposure returns owner's information exposure: for each disclosed item,
 // sensitivity weight × log2(1+distinct recipients), summed. A user whose
 // high-sensitivity data reached many parties has high exposure.
+//
+// The sum folds the feedback items first, then the named items in ascending
+// key order. That is the ascending order of all item keys for every key the
+// workload mints ("feedback/…" sorts before "profile/…"), and feedback items
+// all add the same term, so the running feedback sum is the exact prefix of
+// that fold.
 func (l *Ledger) Exposure(owner int) float64 {
-	items := l.byOwner[owner]
-	if len(items) == 0 {
+	a := l.owners[owner]
+	if a == nil {
 		return 0
 	}
-	// Sensitivity per item is the maximum seen in the recorded events,
-	// maintained incrementally by Record.
-	sens := l.sensByOwner[owner]
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	total := 0.0
-	for _, item := range keys {
-		total += sens[item] * math.Log2(1+float64(len(items[item])))
+	total := a.FeedbackExposure
+	for i := range a.Items {
+		it := &a.Items[i]
+		total += it.Weight * math.Log2(1+float64(len(it.Recipients)))
 	}
 	return total
 }
@@ -163,70 +159,26 @@ func (l *Ledger) NormalizedExposure(owner int, scale float64) float64 {
 // consented (1 when there are none): the "policy respect" half of the
 // privacy facet.
 func (l *Ledger) RespectRate(owner int) float64 {
-	t := l.consent[owner]
-	if t.total == 0 {
+	total, consented := l.Tally(owner)
+	if total == 0 {
 		return 1
 	}
-	return float64(t.ok) / float64(t.total)
+	return float64(consented) / float64(total)
 }
 
 // PrivacyFacet computes owner's privacy satisfaction P_u as the paper's
 // "satisfaction in terms of privacy guarantees": respect of the user's PPs
-// times how much information did NOT have to be shared. When RefreshFacets
-// has cached the owner's value at this scale, the cached value is returned;
-// otherwise the facet is computed on the fly without touching the cache, so
-// the call stays safe to fan out read-only over measurement shards.
+// times how much information did NOT have to be shared.
 func (l *Ledger) PrivacyFacet(owner int, scale float64) float64 {
-	if l.facetInit && scale == l.facetScale &&
-		owner >= 0 && owner < len(l.facetOK) &&
-		l.facetOK[owner] && !l.facetDirty.Dirty(owner) {
-		return l.facetVal[owner]
-	}
 	return l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
 }
 
-// DirtyOwners returns the ascending owner ids whose ledger state changed
-// since the last RefreshFacets — the privacy leg of the epoch tail's facet
-// dirty set. The slice is owned by the ledger and valid until its next
-// mutation; callers that need it past a refresh must copy it first.
+// DirtyOwners returns the ascending owner ids whose aggregates changed since
+// the last ResetDirty — the privacy leg of the epoch tail's facet dirty set.
+// The slice is owned by the ledger and valid until its next mutation;
+// callers that need it past a reset must copy it first.
 func (l *Ledger) DirtyOwners() []int { return l.facetDirty.Sorted() }
 
-// RefreshFacets brings the facet cache up to date at the given normalization
-// scale: dirty owners (and, on first use or a scale change, every owner with
-// recorded events) get their PrivacyFacet recomputed and cached. It mutates
-// the cache and must run on a sequential phase, before PrivacyFacet calls fan
-// out over shards.
-func (l *Ledger) RefreshFacets(scale float64) {
-	if !l.facetInit || scale != l.facetScale {
-		for i := range l.facetOK {
-			l.facetOK[i] = false
-		}
-		l.facetScale = scale
-		l.facetInit = true
-		//trustlint:ordered cacheFacet writes only the owner's own facetVal/facetOK cells, so visit order is immaterial
-		for owner := range l.consent {
-			l.cacheFacet(owner, scale)
-		}
-	} else {
-		for _, owner := range l.facetDirty.Sorted() {
-			l.cacheFacet(owner, scale)
-		}
-	}
-	l.facetDirty.Reset()
-}
-
-func (l *Ledger) cacheFacet(owner int, scale float64) {
-	if owner < 0 {
-		return
-	}
-	if owner >= len(l.facetOK) {
-		grownVal := make([]float64, owner+1)
-		copy(grownVal, l.facetVal)
-		l.facetVal = grownVal
-		grownOK := make([]bool, owner+1)
-		copy(grownOK, l.facetOK)
-		l.facetOK = grownOK
-	}
-	l.facetVal[owner] = l.RespectRate(owner) * (1 - l.NormalizedExposure(owner, scale))
-	l.facetOK[owner] = true
-}
+// ResetDirty clears the dirty-owner set, typically after an epoch's facet
+// measurement has consumed it.
+func (l *Ledger) ResetDirty() { l.facetDirty.Reset() }

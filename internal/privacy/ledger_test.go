@@ -12,14 +12,25 @@ func TestLedgerRecordAndQuery(t *testing.T) {
 	l.Record(Disclosure{Owner: 0, Item: "a", Sensitivity: social.High, Recipient: 1, Purpose: SocialUse, Consented: true})
 	l.Record(Disclosure{Owner: 0, Item: "a", Sensitivity: social.High, Recipient: 2, Purpose: SocialUse, Consented: true})
 	l.Record(Disclosure{Owner: 1, Item: "b", Sensitivity: social.Low, Recipient: 0, Purpose: ReputationUse, Consented: false})
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
+	l.RecordFeedback(1)
+	if total, ok := l.Totals(); total != 4 || ok != 3 {
+		t.Fatalf("Totals = %d, %d", total, ok)
 	}
-	if got := len(l.EventsFor(0)); got != 2 {
-		t.Fatalf("EventsFor(0) = %d", got)
+	if total, ok := l.Tally(0); total != 2 || ok != 2 {
+		t.Fatalf("Tally(0) = %d, %d", total, ok)
 	}
-	if got := len(l.Violations()); got != 1 {
-		t.Fatalf("Violations = %d", got)
+	if total, ok := l.Tally(1); total != 2 || ok != 1 {
+		t.Fatalf("Tally(1) = %d, %d", total, ok)
+	}
+	if total, ok := l.Tally(7); total != 0 || ok != 0 {
+		t.Fatalf("Tally of an unknown owner = %d, %d", total, ok)
+	}
+	if got := l.DirtyOwners(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("DirtyOwners = %v", got)
+	}
+	l.ResetDirty()
+	if got := l.DirtyOwners(); len(got) != 0 {
+		t.Fatalf("DirtyOwners after reset = %v", got)
 	}
 }
 

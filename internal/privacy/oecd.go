@@ -61,13 +61,16 @@ type AuditResult struct {
 	Detail    string
 }
 
-// Audit checks the privacy service and ledger against each OECD principle
-// and returns one result per principle (the E9 conformance matrix).
+// Audit checks the privacy service against each OECD principle and returns
+// one result per principle (the E9 conformance matrix). The per-event checks
+// read the service's audit trail; accountability cross-checks the service's
+// grants against the ledger's consent tally.
 func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	results := make([]AuditResult, 0, 8)
+	trail := svc.trail
 
 	// 1. Collection limitation: no data flowed without consent.
-	viol := len(ledger.Violations())
+	viol := len(svc.Violations())
 	results = append(results, AuditResult{
 		Principle: CollectionLimitation,
 		Pass:      viol == 0,
@@ -76,7 +79,7 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 
 	// 2. Purpose specification: every disclosure declared a purpose.
 	unspecified := 0
-	for _, e := range ledger.Events() {
+	for _, e := range trail {
 		if e.Purpose == 0 {
 			unspecified++
 		}
@@ -90,7 +93,7 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	// 3. Use limitation: every consented disclosure's purpose was allowed
 	// by the item's policy at audit time.
 	misuse := 0
-	for _, e := range ledger.Events() {
+	for _, e := range trail {
 		if !e.Consented {
 			continue
 		}
@@ -149,24 +152,22 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	// 7. Individual participation: every owner with disclosures can
 	// enumerate them (EventsFor) — verified structurally: events about an
 	// owner are retrievable and complete.
-	counted := 0
-	for owner := range ownersOf(ledger) {
-		counted += len(ledger.EventsFor(owner))
+	owners := make(map[int]bool)
+	for _, e := range trail {
+		owners[e.Owner] = true
 	}
-	ipPass := counted == ledger.Len()
+	counted := 0
+	for owner := range owners {
+		counted += len(svc.EventsFor(owner))
+	}
 	results = append(results, AuditResult{
 		Principle: IndividualParticipation,
-		Pass:      ipPass,
-		Detail:    fmt.Sprintf("%d/%d events reachable via per-owner query", counted, ledger.Len()),
+		Pass:      counted == len(trail),
+		Detail:    fmt.Sprintf("%d/%d events reachable via per-owner query", counted, len(trail)),
 	})
 
 	// 8. Accountability: every grant the service made is ledgered.
-	consented := int64(0)
-	for _, e := range ledger.Events() {
-		if e.Consented {
-			consented++
-		}
-	}
+	_, consented := ledger.Totals()
 	results = append(results, AuditResult{
 		Principle: Accountability,
 		Pass:      consented == svc.Grants,
@@ -174,12 +175,4 @@ func Audit(svc *Service, ledger *Ledger, now sim.Time) []AuditResult {
 	})
 
 	return results
-}
-
-func ownersOf(l *Ledger) map[int]bool {
-	owners := make(map[int]bool)
-	for _, e := range l.Events() {
-		owners[e.Owner] = true
-	}
-	return owners
 }

@@ -49,8 +49,8 @@ type Notification struct {
 // Service is the PriServ-style privacy service (the paper's [12]): owners
 // publish private data with a privacy policy; requesters must present
 // operation, purpose and a sufficient trust level. Data lives on the DHT,
-// sealed with an integrity MAC; every grant is ledgered; retention limits
-// are enforced by simulation events.
+// sealed with an integrity MAC; every grant is ledgered and kept on the
+// service's audit trail; retention limits are enforced by simulation events.
 type Service struct {
 	ring   *dht.Ring
 	ledger *Ledger
@@ -61,6 +61,9 @@ type Service struct {
 	accesses map[string]map[int]int // key -> requester -> count
 	copies   []*grantedCopy
 	notices  []Notification
+	// trail is the per-event audit trail the OECD audit reads; the ledger
+	// keeps only aggregates.
+	trail []Disclosure
 
 	// Grants counts allowed requests; Denials tallies by reason.
 	Grants  int64
@@ -178,7 +181,7 @@ func (s *Service) Request(requester int, key string, op Operation, purpose Purpo
 		s.accesses[key] = make(map[int]int)
 	}
 	s.accesses[key][requester]++
-	s.ledger.Record(Disclosure{
+	s.disclose(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -227,7 +230,7 @@ func (s *Service) Leak(key string, recipient int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownKey, key)
 	}
-	s.ledger.Record(Disclosure{
+	s.disclose(Disclosure{
 		Owner:       m.owner,
 		Item:        key,
 		Sensitivity: m.sensitivity,
@@ -237,6 +240,37 @@ func (s *Service) Leak(key string, recipient int) error {
 		Consented:   false,
 	})
 	return nil
+}
+
+// disclose ledgers a disclosure and appends it to the audit trail.
+func (s *Service) disclose(d Disclosure) {
+	s.ledger.Record(d)
+	s.trail = append(s.trail, d)
+}
+
+// EventsFor returns the disclosures of one owner's data, in order. This is
+// the OECD "individual participation" query: an individual can see exactly
+// what about them went where.
+func (s *Service) EventsFor(owner int) []Disclosure {
+	var out []Disclosure
+	for _, e := range s.trail {
+		if e.Owner == owner {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Violations returns the non-consented disclosures (accountability audit
+// trail).
+func (s *Service) Violations() []Disclosure {
+	var out []Disclosure
+	for _, e := range s.trail {
+		if !e.Consented {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Notifications returns the NotifyOwner obligation executions.

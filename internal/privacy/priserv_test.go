@@ -55,12 +55,16 @@ func TestPublishRequestGrant(t *testing.T) {
 	if svc.Grants != 1 {
 		t.Fatalf("Grants = %d", svc.Grants)
 	}
-	if ledger.Len() != 1 {
+	if total, ok := ledger.Tally(0); total != 1 || ok != 1 {
 		t.Fatal("grant not ledgered")
 	}
-	e := ledger.Events()[0]
+	trail := svc.trail
+	if len(trail) != 1 {
+		t.Fatalf("audit trail holds %d events", len(trail))
+	}
+	e := trail[0]
 	if e.Owner != 0 || e.Recipient != 1 || !e.Consented || e.Purpose != SocialUse {
-		t.Fatalf("ledger event = %+v", e)
+		t.Fatalf("trail event = %+v", e)
 	}
 }
 
@@ -82,7 +86,7 @@ func TestRequestDenied(t *testing.T) {
 	if !errors.Is(err, ErrDenied) || dec.Reason != DenyPurpose {
 		t.Fatalf("bad purpose: err=%v dec=%+v", err, dec)
 	}
-	if ledger.Len() != 0 {
+	if total, _ := ledger.Totals(); total != 0 || len(svc.trail) != 0 {
 		t.Fatal("denied requests must not be ledgered as disclosures")
 	}
 	if svc.Denials[DenyNotFriend] != 1 || svc.Denials[DenyInsufficientTrust] != 1 || svc.Denials[DenyPurpose] != 1 {
@@ -206,9 +210,12 @@ func TestLeakIsLedgeredUnconsented(t *testing.T) {
 	if err := svc.Leak("k", 7); err != nil {
 		t.Fatal(err)
 	}
-	v := ledger.Violations()
+	v := svc.Violations()
 	if len(v) != 1 || v[0].Recipient != 7 || v[0].Consented {
 		t.Fatalf("violations = %+v", v)
+	}
+	if total, ok := ledger.Tally(0); total != 1 || ok != 0 {
+		t.Fatalf("ledger tally = %d, %d, want 1 unconsented", total, ok)
 	}
 	if err := svc.Leak("ghost", 7); err == nil {
 		t.Fatal("leak of unknown key accepted")

@@ -1,7 +1,7 @@
 // Package social models the social-networking application layer of the
 // paper's §1: users with profiles, the friendship graph, shared resources
-// (posts, files), and the interaction log that feeds both the satisfaction
-// model (§2.1) and the reputation mechanisms (§2.2).
+// (posts, files), and the consumer/provider interactions that feed both the
+// satisfaction model (§2.1) and the reputation mechanisms (§2.2).
 package social
 
 import (
@@ -92,44 +92,6 @@ type Resource struct {
 	Sensitivity Sensitivity
 }
 
-// Outcome classifies how an interaction ended.
-type Outcome int
-
-// Interaction outcomes: the provider served well, served badly, or refused.
-const (
-	Good Outcome = iota + 1
-	Bad
-	Refused
-)
-
-// String returns the outcome name.
-func (o Outcome) String() string {
-	switch o {
-	case Good:
-		return "good"
-	case Bad:
-		return "bad"
-	case Refused:
-		return "refused"
-	default:
-		return fmt.Sprintf("outcome(%d)", int(o))
-	}
-}
-
-// Interaction is one consumer/provider exchange. Quality is the true
-// delivered quality; Rating is what the consumer reported (possibly a lie);
-// HonestRating is ground truth available only to experiment metrics.
-type Interaction struct {
-	ID           uint64
-	Consumer     int
-	Provider     int
-	Resource     int
-	Quality      float64
-	Outcome      Outcome
-	Rating       float64
-	HonestRating bool
-}
-
 // User is a participant: identity, profile, behaviour policy, and the
 // disclosure willingness that links the privacy facet to the reputation
 // facet (the paper's "quantity of shared information").
@@ -147,7 +109,6 @@ type Network struct {
 	users     []*User
 	friends   *graph.Graph
 	resources []Resource
-	log       []Interaction
 	nextTx    uint64
 }
 
@@ -214,50 +175,4 @@ func (n *Network) NumResources() int { return len(n.resources) }
 func (n *Network) NextTxID() uint64 {
 	n.nextTx++
 	return n.nextTx
-}
-
-// Record appends an interaction to the log.
-func (n *Network) Record(i Interaction) {
-	n.log = append(n.log, i)
-}
-
-// Interactions returns the full interaction log (shared; read-only).
-func (n *Network) Interactions() []Interaction { return n.log }
-
-// InteractionsWith returns the interactions where id was consumer or
-// provider.
-func (n *Network) InteractionsWith(id int) []Interaction {
-	var out []Interaction
-	for _, i := range n.log {
-		if i.Consumer == id || i.Provider == id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// GroundTruthQuality returns each user's true mean delivered quality over
-// the log (1.0 default for users who never served, so that an unknown peer
-// ranks as neutral-good rather than bad). Refusals count as quality 0
-// because a refused consumer got nothing.
-func (n *Network) GroundTruthQuality() []float64 {
-	sums := make([]float64, len(n.users))
-	counts := make([]int, len(n.users))
-	for _, i := range n.log {
-		q := i.Quality
-		if i.Outcome == Refused {
-			q = 0
-		}
-		sums[i.Provider] += q
-		counts[i.Provider]++
-	}
-	out := make([]float64, len(n.users))
-	for i := range out {
-		if counts[i] == 0 {
-			out[i] = 1
-		} else {
-			out[i] = sums[i] / float64(counts[i])
-		}
-	}
-	return out
 }

@@ -94,47 +94,6 @@ func TestTxIDsUnique(t *testing.T) {
 	}
 }
 
-func TestInteractionLog(t *testing.T) {
-	net, err := NewNetwork(honestUsers(3), graph.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Record(Interaction{ID: 1, Consumer: 0, Provider: 1, Quality: 0.9, Outcome: Good})
-	net.Record(Interaction{ID: 2, Consumer: 2, Provider: 1, Quality: 0.2, Outcome: Bad})
-	net.Record(Interaction{ID: 3, Consumer: 0, Provider: 2, Quality: 0.8, Outcome: Good})
-	if len(net.Interactions()) != 3 {
-		t.Fatal("log size wrong")
-	}
-	with1 := net.InteractionsWith(1)
-	if len(with1) != 2 {
-		t.Fatalf("InteractionsWith(1) = %d", len(with1))
-	}
-	with0 := net.InteractionsWith(0)
-	if len(with0) != 2 {
-		t.Fatalf("InteractionsWith(0) = %d", len(with0))
-	}
-}
-
-func TestGroundTruthQuality(t *testing.T) {
-	net, err := NewNetwork(honestUsers(3), graph.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Record(Interaction{Consumer: 0, Provider: 1, Quality: 0.8, Outcome: Good})
-	net.Record(Interaction{Consumer: 0, Provider: 1, Quality: 0.6, Outcome: Good})
-	net.Record(Interaction{Consumer: 1, Provider: 2, Quality: 0.9, Outcome: Refused})
-	gt := net.GroundTruthQuality()
-	if gt[0] != 1 {
-		t.Fatalf("never-served user quality = %v, want neutral 1", gt[0])
-	}
-	if gt[1] < 0.69 || gt[1] > 0.71 {
-		t.Fatalf("provider 1 quality = %v, want 0.7", gt[1])
-	}
-	if gt[2] != 0 {
-		t.Fatalf("refusing provider quality = %v, want 0", gt[2])
-	}
-}
-
 func TestProfileAttribute(t *testing.T) {
 	p := StandardProfile(4)
 	a, ok := p.Attribute("email")
@@ -160,10 +119,7 @@ func TestStringers(t *testing.T) {
 	if Public.String() != "public" || High.String() != "high" {
 		t.Fatal("sensitivity names")
 	}
-	if Good.String() != "good" || Refused.String() != "refused" {
-		t.Fatal("outcome names")
-	}
-	if Sensitivity(9).String() == "" || Outcome(9).String() == "" {
+	if Sensitivity(9).String() == "" {
 		t.Fatal("unknown enum empty name")
 	}
 }

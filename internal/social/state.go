@@ -3,12 +3,11 @@ package social
 import "fmt"
 
 // NetworkState is the serializable mutable state of a Network: the
-// transaction counter, the interaction log, and registered resources. Users
-// and the friendship graph are scenario structure — rebuilt deterministically
-// from the seed — not state.
+// transaction counter and registered resources. Users and the friendship
+// graph are scenario structure — rebuilt deterministically from the seed —
+// not state.
 type NetworkState struct {
 	NextTx    uint64
-	Log       []Interaction
 	Resources []Resource
 }
 
@@ -16,7 +15,6 @@ type NetworkState struct {
 func (n *Network) State() NetworkState {
 	return NetworkState{
 		NextTx:    n.nextTx,
-		Log:       append([]Interaction(nil), n.log...),
 		Resources: append([]Resource(nil), n.resources...),
 	}
 }
@@ -30,7 +28,6 @@ func (n *Network) SetState(st NetworkState) error {
 		}
 	}
 	n.nextTx = st.NextTx
-	n.log = append([]Interaction(nil), st.Log...)
 	n.resources = append([]Resource(nil), st.Resources...)
 	return nil
 }

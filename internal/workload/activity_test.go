@@ -17,10 +17,11 @@ func TestActivitySkewConcentratesConsumers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		log := tapInteractions(e)
 		e.Run(30)
 		counts := make([]int, 40)
-		for _, i := range e.Network().Interactions() {
-			counts[i.Consumer]++
+		for _, i := range *log {
+			counts[i.consumer]++
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 		return counts
@@ -42,10 +43,11 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := tapInteractions(e)
 	e.Run(20)
 	counts := make([]int, 60)
-	for _, i := range e.Network().Interactions() {
-		counts[i.Consumer]++
+	for _, i := range *log {
+		counts[i.consumer]++
 	}
 	// The most active consumer must not always be peer 0 (the identity
 	// permutation decorrelates activity rank from peer id).
@@ -61,10 +63,11 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		log2 := tapInteractions(e2)
 		e2.Run(20)
 		counts2 := make([]int, 60)
-		for _, i := range e2.Network().Interactions() {
-			counts2[i.Consumer]++
+		for _, i := range *log2 {
+			counts2[i.consumer]++
 		}
 		max2, c2 := 0, 0
 		for id, c := range counts2 {

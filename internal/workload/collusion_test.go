@@ -81,11 +81,7 @@ func TestPretrustDampsCollusionInWorkload(t *testing.T) {
 	e.Run(40)
 	e.Mechanism().Compute()
 	scores := e.Mechanism().Scores()
-	gt := e.Network().GroundTruthQuality()
-	served := map[int]bool{}
-	for _, i := range e.Network().Interactions() {
-		served[i.Provider] = true
-	}
+	gt, served := e.GroundTruth()
 	bestColluder, bestHonest := 0.0, 0.0
 	for id, c := range e.Classes() {
 		if !served[id] {

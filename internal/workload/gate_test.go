@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/privacy"
@@ -48,19 +49,22 @@ func TestAttachLedgerAccountsFlows(t *testing.T) {
 	ledger := privacy.NewLedger()
 	eng.AttachLedger(ledger, 50)
 	eng.Run(10)
-	if ledger.Len() == 0 {
+	total, consented := ledger.Totals()
+	if total == 0 {
 		t.Fatal("ledger empty after interactions")
 	}
+	if consented != total {
+		t.Fatal("engine recorded unconsented flow")
+	}
 	// Both flow kinds are recorded: profile->provider and feedback->mechanism.
-	var profile, feedback int
-	for _, e := range ledger.Events() {
-		if e.Recipient == -1 {
-			feedback++
-		} else {
-			profile++
-		}
-		if !e.Consented {
-			t.Fatal("engine recorded unconsented flow")
+	var profile, feedback int64
+	for _, o := range ledger.State().Owners {
+		feedback += o.Feedback
+		for _, it := range o.Items {
+			if it.Item != "profile/"+strconv.Itoa(o.Owner) {
+				t.Fatalf("owner %d has unexpected item %q", o.Owner, it.Item)
+			}
+			profile += int64(len(it.Recipients))
 		}
 	}
 	if profile == 0 || feedback == 0 {
@@ -96,8 +100,8 @@ func TestZeroDisclosureNoFeedbackFlows(t *testing.T) {
 	eng.AttachLedger(ledger, 50)
 	eng.SetDisclosure(make([]float64, 20))
 	eng.Run(10)
-	for _, e := range ledger.Events() {
-		if e.Recipient == -1 {
+	for _, o := range ledger.State().Owners {
+		if o.Feedback != 0 {
 			t.Fatal("feedback flow recorded at zero disclosure")
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //     interaction's private stream and state that is immutable for the
 //     round (scores, graph, behaviours, honesty override).
 //  3. gather (sequential): results merge into the shared mutable state
-//     (interaction log, satisfaction EMAs, disclosure ledger, gatherer →
+//     (transaction ids, satisfaction EMAs, disclosure ledger, gatherer →
 //     mechanism) in interaction-index order, so transaction ids, EMA folds
 //     and the gatherer's disclosure draws are canonical.
 
@@ -167,6 +167,9 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		}
 		st.Interactions++
 		tx := e.snet.NextTxID()
+		if e.tap != nil {
+			e.tap(r)
+		}
 
 		// The provider judges the (possibly imposed) request against its
 		// own intentions.
@@ -177,10 +180,6 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		if r.refused {
 			st.BadService++
 			st.Refused++
-			e.snet.Record(social.Interaction{
-				ID: tx, Consumer: r.consumer, Provider: r.provider,
-				Quality: 0, Outcome: social.Refused, Rating: 0, HonestRating: true,
-			})
 			e.recordServed(r.provider, 0)
 			e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, 0)
 			e.consumers[r.consumer].UpdatePreference(r.provider, 0)
@@ -191,15 +190,9 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 		// The consumer judges the allocation against its intentions and the
 		// quality it actually received.
 		e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, r.quality)
-		outcome := social.Good
 		if r.quality < 0.5 {
-			outcome = social.Bad
 			st.BadService++
 		}
-		e.snet.Record(social.Interaction{
-			ID: tx, Consumer: r.consumer, Provider: r.provider,
-			Quality: r.quality, Outcome: outcome, Rating: r.rating, HonestRating: r.honest,
-		})
 		e.recordServed(r.provider, r.quality)
 		e.consumers[r.consumer].UpdatePreference(r.provider, r.quality)
 		if e.ledger != nil {

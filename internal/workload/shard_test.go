@@ -162,32 +162,44 @@ func TestShardsValidation(t *testing.T) {
 }
 
 // TestGroundTruthMatchesLogScan pins the incremental accumulators to the
-// reference full-log computation.
+// reference computation over a tapped interaction log: each provider's mean
+// delivered quality, refusals counting as 0 and providers who never served
+// ranking neutral at 1.
 func TestGroundTruthMatchesLogScan(t *testing.T) {
 	cfg := Config{Seed: 21, NumPeers: 50, Mix: mixMalicious(0.4), Shards: 3}
 	e, err := NewEngine(cfg, newEigen(t, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := tapInteractions(e)
 	e.Run(15)
 	gt, served := e.GroundTruth()
-	want := e.Network().GroundTruthQuality()
+	sums := make([]float64, 50)
+	counts := make([]int, 50)
+	for _, i := range *log {
+		q := i.quality
+		if i.refused {
+			q = 0
+		}
+		sums[i.provider] += q
+		counts[i.provider]++
+	}
+	want := make([]float64, 50)
+	for p := range want {
+		want[p] = 1
+		if counts[p] > 0 {
+			want[p] = sums[p] / float64(counts[p])
+		}
+		if served[p] != (counts[p] > 0) {
+			t.Fatalf("served[%d] = %v, log says %v", p, served[p], counts[p] > 0)
+		}
+	}
 	if !equalF64(gt, want) {
 		t.Fatalf("incremental ground truth diverged from log scan:\n%v\n%v", gt, want)
 	}
-	inLog := make([]bool, 50)
-	for _, i := range e.Network().Interactions() {
-		inLog[i.Provider] = true
-	}
-	for p := range inLog {
-		if inLog[p] != served[p] {
-			t.Fatalf("served[%d] = %v, log says %v", p, served[p], inLog[p])
-		}
-	}
 	cum := e.CumulativeStats()
-	if cum.Interactions != len(e.Network().Interactions()) {
-		t.Fatalf("cumulative interactions %d != log length %d",
-			cum.Interactions, len(e.Network().Interactions()))
+	if cum.Interactions != len(*log) {
+		t.Fatalf("cumulative interactions %d != log length %d", cum.Interactions, len(*log))
 	}
 	if cum.Round != 15 {
 		t.Fatalf("cumulative round = %d, want 15", cum.Round)

@@ -263,8 +263,8 @@ type Engine struct {
 	// does not re-format it on every interaction.
 	profileItem []string //trustlint:derived format cache, a pure function of the peer id
 	// servedCount/qualSum accumulate each provider's realized service
-	// incrementally (refusals as quality 0), so ground truth and the served
-	// set never require rescanning the interaction log.
+	// incrementally (refusals as quality 0); ground truth and the served set
+	// come from them.
 	servedCount []int
 	qualSum     []float64
 	// servedIDs is the ascending id list of providers with servedCount > 0,
@@ -276,6 +276,9 @@ type Engine struct {
 	// gather phase since the last ResetSatisfactionTouched — the
 	// satisfaction leg of the epoch tail's facet dirty set.
 	satDirty metrics.DirtySet
+	// tap, when set, sees every completed interaction in gather order. Only
+	// tests set it, as an oracle for the incremental accumulators.
+	tap func(*interactionResult) //trustlint:derived test-only observer, never set outside tests
 }
 
 // NewEngine assembles a scenario around the provided mechanism (which must
@@ -498,37 +501,17 @@ func (e *Engine) Ledger() *privacy.Ledger { return e.ledger }
 // engine's shards.
 func (e *Engine) PrivacyFacets() []float64 {
 	out := make([]float64, e.cfg.NumPeers)
-	if e.ledger == nil {
-		for i := range out {
-			out[i] = 1
-		}
-		return out
-	}
-	// Sequentially refresh the ledger's facet cache for owners dirtied since
-	// the last barrier; the sharded readers below then hit cached values
-	// without ever mutating ledger state.
-	e.ledger.RefreshFacets(e.ledgerScale)
 	sim.ForChunks(e.shards, len(out), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = e.ledger.PrivacyFacet(i, e.ledgerScale)
+			out[i] = e.PrivacyFacetOf(i)
 		}
 	})
 	return out
 }
 
-// RefreshPrivacyFacets brings the attached ledger's facet cache up to date
-// at the current exposure scale (a no-op without a ledger). It mutates the
-// cache, so it must run on a sequential phase, before PrivacyFacetOf calls
-// fan out over shards.
-func (e *Engine) RefreshPrivacyFacets() {
-	if e.ledger != nil {
-		e.ledger.RefreshFacets(e.ledgerScale)
-	}
-}
-
 // PrivacyFacetOf returns one user's privacy facet at the current exposure
-// scale (1 without a ledger). After RefreshPrivacyFacets it is a cached,
-// mutation-free read, safe to fan out over shards.
+// scale (1 without a ledger). It is a read-only query, safe to fan out over
+// shards.
 func (e *Engine) PrivacyFacetOf(u int) float64 {
 	if e.ledger == nil {
 		return 1
@@ -537,14 +520,23 @@ func (e *Engine) PrivacyFacetOf(u int) float64 {
 }
 
 // LedgerDirtyOwners returns the ascending owner ids whose ledger state
-// changed since the last RefreshPrivacyFacets (nil without a ledger). The
-// slice is owned by the ledger and valid until its next mutation — read it
-// before refreshing.
+// changed since the last ResetLedgerDirty (nil without a ledger). The slice
+// is owned by the ledger and valid until its next mutation — read it before
+// resetting.
 func (e *Engine) LedgerDirtyOwners() []int {
 	if e.ledger == nil {
 		return nil
 	}
 	return e.ledger.DirtyOwners()
+}
+
+// ResetLedgerDirty clears the attached ledger's dirty-owner set (a no-op
+// without a ledger), typically after an epoch's facet measurement has
+// consumed it.
+func (e *Engine) ResetLedgerDirty() {
+	if e.ledger != nil {
+		e.ledger.ResetDirty()
+	}
 }
 
 // LedgerScale returns the exposure normalization scale currently in effect
@@ -694,7 +686,7 @@ func (e *Engine) flushReports() {
 			for i := range e.pending {
 				r := &e.pending[i]
 				e.gatherer.Commit(r.Rater)
-				e.recordFeedbackDisclosure(r.Rater, r.TxID)
+				e.recordFeedback(r.Rater)
 			}
 			if e.reportObserver != nil {
 				e.reportObserver(e.pending)
@@ -708,7 +700,7 @@ func (e *Engine) flushReports() {
 				continue
 			}
 			e.gatherer.Commit(r.Rater)
-			e.recordFeedbackDisclosure(r.Rater, r.TxID)
+			e.recordFeedback(r.Rater)
 			if e.reportObserver != nil {
 				delivered = append(delivered, *r)
 			}
@@ -720,22 +712,13 @@ func (e *Engine) flushReports() {
 	e.pending = e.pending[:0]
 }
 
-// recordFeedbackDisclosure accounts one shared feedback report in the
-// privacy ledger: sharing feedback discloses the rater's behavioural data to
-// the reputation layer (recipient -1 = the mechanism). Items are
-// per-transaction so exposure grows with each shared report.
-func (e *Engine) recordFeedbackDisclosure(rater int, tx uint64) {
-	if e.ledger == nil {
-		return
+// recordFeedback accounts one shared feedback report in the privacy ledger:
+// sharing feedback discloses the rater's behavioural data to the reputation
+// layer, a fresh item per report, so exposure grows with each one.
+func (e *Engine) recordFeedback(rater int) {
+	if e.ledger != nil {
+		e.ledger.RecordFeedback(rater)
 	}
-	e.ledger.Record(privacy.Disclosure{
-		Owner:       rater,
-		Item:        "feedback/" + strconv.Itoa(rater) + "/" + strconv.FormatUint(tx, 10),
-		Sensitivity: social.Low,
-		Recipient:   -1,
-		Purpose:     privacy.ReputationUse,
-		Consented:   true,
-	})
 }
 
 // sampleCandidates picks the candidate provider set for a consumer: its
@@ -839,7 +822,7 @@ func (e *Engine) SubmitExternalReport(rater, ratee int, value float64) error {
 	}
 	// Same accounting as a gathered in-simulation report: sharing feedback
 	// discloses the rater's behavioural data to the mechanism.
-	e.recordFeedbackDisclosure(rater, tx)
+	e.recordFeedback(rater)
 	if e.reportObserver != nil {
 		e.reportObserver([]reputation.Report{{TxID: tx, Rater: rater, Ratee: ratee, Value: value}})
 	}
@@ -911,8 +894,9 @@ func (e *Engine) Summarize() Summary {
 }
 
 // GroundTruth returns, from the incremental accumulators, each provider's
-// realized mean quality (1 for providers who never served, matching
-// social.Network.GroundTruthQuality) and whether it ever served.
+// realized mean quality (refusals count as quality 0; 1 for providers who
+// never served, so an unknown peer ranks as neutral-good rather than bad)
+// and whether it ever served.
 func (e *Engine) GroundTruth() (gt []float64, served []bool) {
 	gt = make([]float64, e.cfg.NumPeers)
 	served = make([]bool, e.cfg.NumPeers)

@@ -63,12 +63,13 @@ func TestRoundsProduceInteractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := tapInteractions(e)
 	st := e.Round()
 	if st.Interactions == 0 {
 		t.Fatal("no interactions in a round")
 	}
-	if len(e.Network().Interactions()) != st.Interactions {
-		t.Fatalf("log has %d, round reports %d", len(e.Network().Interactions()), st.Interactions)
+	if len(*log) != st.Interactions {
+		t.Fatalf("log has %d, round reports %d", len(*log), st.Interactions)
 	}
 }
 

@@ -54,9 +54,6 @@ const (
 // Profile is a user's attribute set.
 type Profile = social.Profile
 
-// Interaction is one recorded consumer/provider exchange.
-type Interaction = social.Interaction
-
 // StandardProfile builds the experiment-standard profile for a user.
 func StandardProfile(userID int) Profile { return social.StandardProfile(userID) }
 

@@ -216,6 +216,22 @@ func TestSnapshotMismatchRejected(t *testing.T) {
 	if err := eng.Restore(&bad); err == nil {
 		t.Fatal("wrong-version snapshot accepted")
 	}
+
+	// A ledger section naming an owner outside the population, or out of
+	// canonical order, is refused.
+	for _, corrupt := range []func(*Snapshot){
+		func(s *Snapshot) { s.State.Ledger.Owners[0].Owner = -1 },
+		func(s *Snapshot) { s.State.Ledger.Owners[1].Owner = s.State.Ledger.Owners[0].Owner },
+	} {
+		s, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(s)
+		if err := eng.Restore(s); err == nil || !strings.Contains(err.Error(), "ledger") {
+			t.Fatalf("corrupt ledger section restore = %v, want a ledger error", err)
+		}
+	}
 }
 
 // TestDecodeSnapshotOldVersionClearError pins the decode-time version probe:
@@ -247,7 +263,69 @@ func TestDecodeSnapshotOldVersionClearError(t *testing.T) {
 	if err == nil {
 		t.Fatal("old-version snapshot decoded without error")
 	}
-	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 2)") {
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 1, want 3)") {
+		t.Fatalf("decode error %q does not name the version mismatch", err)
+	}
+}
+
+// TestDecodeSnapshotV2HeaderClearError pins the v3 bump: a v2 blob's ledger
+// section (an event list) and network section (an interaction log) share no
+// field names with the v3 aggregates, so gob would decode it silently into
+// an empty ledger. The version probe must reject it first.
+func TestDecodeSnapshotV2HeaderClearError(t *testing.T) {
+	type v2Ledger struct {
+		Events     []Disclosure
+		FacetDirty []int
+	}
+	type v2Interaction struct {
+		ID                 uint64
+		Consumer, Provider int
+		Quality            float64
+	}
+	type v2Network struct {
+		NextTx uint64
+		Log    []v2Interaction
+	}
+	type v2Engine struct {
+		MechName string
+		Network  v2Network
+	}
+	type v2State struct {
+		Engine v2Engine
+		Ledger v2Ledger
+		Epoch  int
+	}
+	type v2Snapshot struct {
+		Version   int
+		Peers     int
+		Mechanism string
+		Epoch     int
+		State     v2State
+	}
+	blob := v2Snapshot{
+		Version: 2, Peers: 60, Mechanism: "eigentrust", Epoch: 3,
+		State: v2State{
+			Engine: v2Engine{MechName: "eigentrust", Network: v2Network{NextTx: 2, Log: []v2Interaction{{ID: 1}, {ID: 2}}}},
+			Ledger: v2Ledger{Events: []Disclosure{{Owner: 4, Item: "profile/4", Recipient: 7, Consented: true}}, FacetDirty: []int{4}},
+			Epoch:  3,
+		},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+		t.Fatal(err)
+	}
+	var raw Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&raw); err != nil {
+		t.Fatalf("v2 stand-in does not gob-decode into the v3 shape (%v); the test no longer shows the silent case", err)
+	}
+	if len(raw.State.Ledger.Owners) != 0 {
+		t.Fatalf("v2 events decoded into v3 aggregates: %+v", raw.State.Ledger.Owners)
+	}
+	_, err := DecodeSnapshot(&buf)
+	if err == nil {
+		t.Fatal("v2 snapshot decoded without error")
+	}
+	if !strings.Contains(err.Error(), "snapshot version mismatch (got 2, want 3)") {
 		t.Fatalf("decode error %q does not name the version mismatch", err)
 	}
 }
