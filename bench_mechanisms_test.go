@@ -14,7 +14,8 @@ import (
 )
 
 // BenchmarkMechanismCompute measures one steady-state mechanism recompute —
-// one fresh report submitted, then Compute — across population sizes,
+// one fresh report submitted (a whole round's batch on the dirty=round
+// rows), then Compute — across population sizes,
 // interaction-graph densities and worker counts, for the sparse CSR kernel
 // and (at tractable sizes) the frozen dense [][]float64 reference it
 // replaced. CI converts the output into BENCH_mechanisms.json; benchjson
@@ -50,6 +51,18 @@ func BenchmarkMechanismCompute(b *testing.B) {
 				benchWarmCold(b, mech, 10000, 4, start == "cold", warmColdReports)
 			})
 		}
+	}
+	// Round rows: the traffic an epoch actually sends. A round's report
+	// batch dirties most raters' rows before each recompute (about 1.5
+	// reports per user per compute on the long-horizon benchmark shape), so
+	// these rows price full-width rematerialization plus the iteration,
+	// where the one-dirty-row rows above price the iteration alone.
+	roundBatch := mechRoundBatch(10000)
+	for _, mech := range []string{"eigentrust", "powertrust"} {
+		name := fmt.Sprintf("mech=%s/users=10000/density=0.001/kernel=sparse/workers=1/dirty=round", mech)
+		b.Run(name, func(b *testing.B) {
+			benchRound(b, mech, 10000, warmColdReports, roundBatch)
+		})
 	}
 	for _, sc := range scales {
 		if sc.users >= 50000 && !heavy {
@@ -122,6 +135,50 @@ func benchSparse(b *testing.B, mech string, n, workers int, reports []reputation
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Submit(reputation.Report{Rater: n - 1, Ratee: n - 2, Value: 0.9}); err != nil {
+			b.Fatal(err)
+		}
+		m.Compute()
+	}
+}
+
+// mechRoundBatch generates one round's report batch for n users: 1.5
+// reports per user, from a stream independent of the matrix's.
+func mechRoundBatch(n int) []reputation.Report {
+	rng := sim.NewRNG(23)
+	batch := make([]reputation.Report, 0, 3*n/2)
+	for len(batch) < cap(batch) {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		batch = append(batch, reputation.Report{Rater: i, Ratee: j, Value: rng.Float64()})
+	}
+	return batch
+}
+
+// benchRound measures one epoch-shaped recompute: a whole round's batch
+// folded through SubmitBatch, then Compute.
+func benchRound(b *testing.B, mech string, n int, reports, batch []reputation.Report) {
+	var m reputation.Mechanism
+	var err error
+	switch mech {
+	case "eigentrust":
+		m, err = eigentrust.New(eigentrust.Config{N: n})
+	case "powertrust":
+		m, err = powertrust.New(powertrust.Config{N: n})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := m.(reputation.BatchSubmitter)
+	if err := bs.SubmitBatch(reports); err != nil {
+		b.Fatal(err)
+	}
+	m.Compute()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bs.SubmitBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 		m.Compute()

@@ -398,9 +398,24 @@ func (m *Master) scatterDelegate(plans []workload.PlannedInteraction, scores []f
 	return out, true
 }
 
-// scatterOn runs one worker's chunk: optional resync, then the scatter
-// request, one ordered conversation under one deadline.
+// scatterOn runs one worker's chunk of the scatter phase.
 func (m *Master) scatterOn(w *remoteWorker, gen uint64, syncEnv *envelope, plans []workload.PlannedInteraction, scores []float64, gate float64, pool []int, round int) ([]workload.InteractionOutcome, error) {
+	resp, err := m.phaseOn(w, gen, syncEnv, &envelope{Kind: kindScatter, Scatter: &scatterMsg{
+		Plans: plans, Scores: scores, Gate: gate,
+		Pool: pool, HasPool: pool != nil, Round: round,
+	}}, kindScatterResult)
+	if err != nil {
+		return nil, err
+	}
+	m.remoteScatters.Add(1)
+	return resp.ScatterRes.Outcomes, nil
+}
+
+// phaseOn runs one phase conversation with a worker under one deadline:
+// the sync frame first when the worker's replica is behind gen, then req.
+// A reply that is not of kind want, or lacks its payload, is an error. On
+// success a stale replica is marked synced and counted as a resync.
+func (m *Master) phaseOn(w *remoteWorker, gen uint64, syncEnv, req *envelope, want msgKind) (*envelope, error) {
 	reqs := make([]*envelope, 0, 2)
 	stale := !w.hasSync || w.syncGen != gen
 	if stale {
@@ -409,23 +424,18 @@ func (m *Master) scatterOn(w *remoteWorker, gen uint64, syncEnv *envelope, plans
 		}
 		reqs = append(reqs, syncEnv)
 	}
-	reqs = append(reqs, &envelope{Kind: kindScatter, Scatter: &scatterMsg{
-		Plans: plans, Scores: scores, Gate: gate,
-		Pool: pool, HasPool: pool != nil, Round: round,
-	}})
-	resp, err := w.exchange(m.cfg.PhaseTimeout, reqs...)
+	resp, err := w.exchange(m.cfg.PhaseTimeout, append(reqs, req)...)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != kindScatterResult || resp.ScatterRes == nil {
-		return nil, fmt.Errorf("cluster: worker %q: unexpected reply kind %d to scatter", w.name, resp.Kind)
+	if resp.Kind != want || (want == kindScatterResult && resp.ScatterRes == nil) || (want == kindSpMVResult && resp.SpMVRes == nil) {
+		return nil, fmt.Errorf("cluster: worker %q: unexpected reply kind %d to request kind %d", w.name, resp.Kind, req.Kind)
 	}
 	if stale {
 		w.markSynced(gen)
 		m.resyncs.Add(1)
 	}
-	m.remoteScatters.Add(1)
-	return resp.ScatterRes.Outcomes, nil
+	return resp, nil
 }
 
 // spmvDelegate implements reputation.SpMVDelegate: fan the canonical block
@@ -477,28 +487,11 @@ func (m *Master) spmvDelegate(y, x, dangle []float64) bool {
 	return true
 }
 
-// spmvOn runs one worker's block range: optional resync, then the spmv
-// request.
+// spmvOn runs one worker's block range of a delegated SpMV.
 func (m *Master) spmvOn(w *remoteWorker, gen uint64, syncEnv *envelope, x []float64, lob, hib int) ([][]float64, []float64, error) {
-	reqs := make([]*envelope, 0, 2)
-	stale := !w.hasSync || w.syncGen != gen
-	if stale {
-		if syncEnv == nil {
-			return nil, nil, fmt.Errorf("cluster: stale worker %q without sync payload", w.name)
-		}
-		reqs = append(reqs, syncEnv)
-	}
-	reqs = append(reqs, &envelope{Kind: kindSpMV, SpMV: &spmvMsg{X: x, Lob: lob, Hib: hib}})
-	resp, err := w.exchange(m.cfg.PhaseTimeout, reqs...)
+	resp, err := m.phaseOn(w, gen, syncEnv, &envelope{Kind: kindSpMV, SpMV: &spmvMsg{X: x, Lob: lob, Hib: hib}}, kindSpMVResult)
 	if err != nil {
 		return nil, nil, err
-	}
-	if resp.Kind != kindSpMVResult || resp.SpMVRes == nil {
-		return nil, nil, fmt.Errorf("cluster: worker %q: unexpected reply kind %d to spmv", w.name, resp.Kind)
-	}
-	if stale {
-		w.markSynced(gen)
-		m.resyncs.Add(1)
 	}
 	m.remoteSpMVs.Add(1)
 	return resp.SpMVRes.Partials, resp.SpMVRes.Masses, nil

@@ -79,19 +79,13 @@ func ClusteringCoefficient(g *Graph) float64 {
 	und := func(a, b int) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
 	total := 0.0
 	for u := 0; u < g.N(); u++ {
-		// Undirected neighborhood.
-		seen := map[int]bool{}
-		for _, e := range g.Out(u) {
-			seen[e.To] = true
-		}
+		// Undirected neighborhood: out-neighbors plus in-only neighbors.
+		nbrs := g.Neighbors(u)
 		for _, e := range g.In(u) {
-			seen[e.To] = true
+			if !g.HasEdge(u, e.To) {
+				nbrs = append(nbrs, e.To)
+			}
 		}
-		nbrs := make([]int, 0, len(seen))
-		for v := range seen {
-			nbrs = append(nbrs, v)
-		}
-		sort.Ints(nbrs)
 		k := len(nbrs)
 		if k < 2 {
 			continue

@@ -6,8 +6,9 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/linalg"
 	"repro/internal/sim"
 )
 
@@ -18,56 +19,41 @@ type Edge struct {
 }
 
 // Graph is a directed weighted multigraph-free graph over nodes 0..N-1.
-// Adding an edge that already exists overwrites its weight.
+// Adding an edge that already exists overwrites its weight. Out- and
+// in-adjacency are sorted rows (linalg.Rows), so every read returns edges in
+// ascending neighbour order without sorting.
 type Graph struct {
-	n   int
-	out []map[int]float64
-	in  []map[int]float64
+	out *linalg.Rows[float64]
+	in  *linalg.Rows[float64]
 }
 
 // New returns an empty graph with n nodes.
 func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	g := &Graph{
-		n:   n,
-		out: make([]map[int]float64, n),
-		in:  make([]map[int]float64, n),
-	}
-	return g
+	return &Graph{out: linalg.NewRows[float64](n), in: linalg.NewRows[float64](n)}
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return g.out.N() }
 
 // AddNode appends a new isolated node and returns its id.
 func (g *Graph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.n++
-	return g.n - 1
+	g.in.Grow()
+	return g.out.Grow()
 }
 
-func (g *Graph) valid(v int) bool { return v >= 0 && v < g.n }
+func (g *Graph) valid(v int) bool { return v >= 0 && v < g.N() }
 
 // SetEdge adds or updates the directed edge u->v with weight w.
 // It returns an error for out-of-range nodes or self-loops.
 func (g *Graph) SetEdge(u, v int, w float64) error {
 	if !g.valid(u) || !g.valid(v) {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.N())
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d rejected", u)
 	}
-	if g.out[u] == nil {
-		g.out[u] = make(map[int]float64)
-	}
-	if g.in[v] == nil {
-		g.in[v] = make(map[int]float64)
-	}
-	g.out[u][v] = w
-	g.in[v][u] = w
+	*g.out.Cell(u, v) = w
+	*g.in.Cell(v, u) = w
 	return nil
 }
 
@@ -84,26 +70,22 @@ func (g *Graph) RemoveEdge(u, v int) {
 	if !g.valid(u) || !g.valid(v) {
 		return
 	}
-	delete(g.out[u], v)
-	delete(g.in[v], u)
+	g.out.Delete(u, v)
+	g.in.Delete(v, u)
 }
 
 // HasEdge reports whether u->v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if !g.valid(u) || !g.valid(v) {
-		return false
-	}
-	_, ok := g.out[u][v]
+	_, ok := g.Weight(u, v)
 	return ok
 }
 
 // Weight returns the weight of u->v and whether the edge exists.
 func (g *Graph) Weight(u, v int) (float64, bool) {
-	if !g.valid(u) {
+	if !g.valid(u) || !g.valid(v) {
 		return 0, false
 	}
-	w, ok := g.out[u][v]
-	return w, ok
+	return g.out.Get(u, v)
 }
 
 // OutDegree returns the out-degree of u (0 if out of range).
@@ -111,7 +93,7 @@ func (g *Graph) OutDegree(u int) int {
 	if !g.valid(u) {
 		return 0
 	}
-	return len(g.out[u])
+	return g.out.Len(u)
 }
 
 // InDegree returns the in-degree of u (0 if out of range).
@@ -119,7 +101,7 @@ func (g *Graph) InDegree(u int) int {
 	if !g.valid(u) {
 		return 0
 	}
-	return len(g.in[u])
+	return g.in.Len(u)
 }
 
 // Out returns u's out-edges sorted by destination (deterministic order).
@@ -127,7 +109,7 @@ func (g *Graph) Out(u int) []Edge {
 	if !g.valid(u) {
 		return nil
 	}
-	return sortedEdges(g.out[u])
+	return edges(g.out, u)
 }
 
 // In returns u's in-edges sorted by source.
@@ -135,24 +117,27 @@ func (g *Graph) In(u int) []Edge {
 	if !g.valid(u) {
 		return nil
 	}
-	return sortedEdges(g.in[u])
+	return edges(g.in, u)
 }
 
-func sortedEdges(m map[int]float64) []Edge {
-	es := make([]Edge, 0, len(m))
-	for v, w := range m {
-		es = append(es, Edge{To: v, Weight: w})
+func edges(rows *linalg.Rows[float64], u int) []Edge {
+	cols, ws := rows.Row(u)
+	es := make([]Edge, len(cols))
+	for k, v := range cols {
+		es[k] = Edge{To: int(v), Weight: ws[k]}
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
 	return es
 }
 
 // Neighbors returns the sorted out-neighbor ids of u.
 func (g *Graph) Neighbors(u int) []int {
-	es := g.Out(u)
-	ids := make([]int, len(es))
-	for i, e := range es {
-		ids[i] = e.To
+	if !g.valid(u) {
+		return []int{}
+	}
+	cols, _ := g.out.Row(u)
+	ids := make([]int, len(cols))
+	for k, v := range cols {
+		ids[k] = int(v)
 	}
 	return ids
 }
@@ -160,21 +145,15 @@ func (g *Graph) Neighbors(u int) []int {
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for _, m := range g.out {
-		total += len(m)
+	for u := 0; u < g.N(); u++ {
+		total += g.out.Len(u)
 	}
 	return total
 }
 
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u, m := range g.out {
-		for v, w := range m {
-			_ = c.SetEdge(u, v, w) // edges in g are valid by construction
-		}
-	}
-	return c
+	return &Graph{out: g.out.Clone(), in: g.in.Clone()}
 }
 
 // ErdosRenyi generates a directed G(n, p) graph (no self-loops).
@@ -211,13 +190,12 @@ func BarabasiAlbert(rng *sim.RNG, n, m int) *Graph {
 			endpoints = append(endpoints, u, v)
 		}
 	}
+	targets := make([]int, 0, m) // selection order: keeps runs deterministic
 	for u := m + 1; u < n; u++ {
-		chosen := make(map[int]bool, m)
-		targets := make([]int, 0, m) // selection order: keeps runs deterministic
+		targets = targets[:0]
 		for len(targets) < m {
 			t := endpoints[rng.Intn(len(endpoints))]
-			if t != u && !chosen[t] {
-				chosen[t] = true
+			if t != u && !slices.Contains(targets, t) {
 				targets = append(targets, t)
 			}
 		}

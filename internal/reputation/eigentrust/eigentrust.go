@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
 	"repro/internal/overlay"
 	"repro/internal/reputation"
 )
@@ -56,37 +55,18 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Mechanism is the EigenTrust scoring engine. The normalized local-trust
-// matrix C lives in a CSR whose rows are rematerialized incrementally from
-// the LocalTrust dirty set, and the power iteration runs the shared sparse
-// kernel: shard-parallel SpMV with a rank-one pretrust correction for
-// dangling rows, on buffers reused across computes (zero steady-state
-// allocation). Scores are bit-for-bit identical for every worker count.
+// Mechanism is the EigenTrust scoring engine: the shared power-iteration
+// core (reputation.Walk) over the normalized local-trust matrix C, with the
+// pretrust vector as both the dangling-row distribution and the jump.
+// Only rows the LocalTrust dirty set names are rematerialized, buffers are
+// reused across computes, and scores are bit-for-bit identical for every
+// worker count.
 type Mechanism struct {
+	reputation.Walk
 	cfg      Config //trustlint:derived configuration, identical by construction on restore
 	lt       *reputation.LocalTrust
 	pretrust []float64 //trustlint:derived configuration, rebuilt by New from cfg.Pretrusted
-	scores   []float64 // global trust distribution (sums to 1)
 	dirty    bool
-
-	// Sparse kernel state.
-	csr          *linalg.CSR      //trustlint:derived rematerialized from the local-trust matrix on first Compute after restore
-	ws           linalg.Workspace //trustlint:derived scratch, contents never outlive one Compute
-	workers      int              //trustlint:derived configuration (SetWorkers), not part of the deterministic state
-	materialized bool             //trustlint:derived cleared by restore to force a full CSR rebuild
-	// Reusable iteration and materialization scratch.
-	vecA, vecB []float64 //trustlint:derived scratch, contents never outlive one Compute
-	colScratch []int32   //trustlint:derived scratch, contents never outlive one Compute
-	valScratch []float64 //trustlint:derived scratch, contents never outlive one Compute
-	// Max-normalized score cache backing ScoresView.
-	norm    []float64 //trustlint:derived cache, recomputed from scores by refreshNorm on restore
-	normMax float64   //trustlint:derived cache, recomputed from scores by refreshNorm on restore
-	// spmv, when set, computes the power iteration's inner product remotely
-	// (the cluster layer); nil or a false return runs the local kernel.
-	spmv reputation.SpMVDelegate //trustlint:derived cluster-layer hook, re-attached by the owner after restore; bit-exact by contract
-	// Diagnostics of the most recent Compute that ran iterations.
-	lastConv reputation.Convergence
-	hasConv  bool
 }
 
 var _ reputation.Mechanism = (*Mechanism)(nil)
@@ -103,56 +83,19 @@ func New(cfg Config) (*Mechanism, error) {
 			return nil, fmt.Errorf("eigentrust: %w", err)
 		}
 	}
-	m := &Mechanism{
-		cfg:          cfg,
-		lt:           reputation.NewLocalTrust(cfg.N),
-		pretrust:     pretrust,
-		csr:          linalg.New(cfg.N),
-		workers:      1,
-		materialized: true, // a fresh CSR matches the empty matrix
-		vecA:         make([]float64, cfg.N),
-		vecB:         make([]float64, cfg.N),
-		norm:         make([]float64, cfg.N),
-	}
-	m.scores = append([]float64(nil), m.pretrust...)
-	m.refreshNorm()
+	m := &Mechanism{cfg: cfg, lt: reputation.NewLocalTrust(cfg.N), pretrust: pretrust}
+	m.Walk = reputation.NewWalk(reputation.WalkConfig{
+		Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, MaxIter: cfg.MaxIter, ColdStart: cfg.ColdStart,
+	}, m.lt, pretrust, pretrust)
 	return m, nil
 }
 
-// SetComputeShards implements reputation.ComputeSharder: Compute's SpMV
-// scatters over k workers. Shards are a scheduling knob only — scores stay
-// bit-for-bit identical for every k.
-func (m *Mechanism) SetComputeShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.workers = k
-}
-
-var _ reputation.ComputeSharder = (*Mechanism)(nil)
-
-// SetSpMVDelegate implements reputation.SpMVDelegator: Compute's inner
-// product routes through fn (nil restores the local kernel). The delegate is
-// bit-exact by contract, so delegated and local computes produce identical
-// scores.
-func (m *Mechanism) SetSpMVDelegate(fn reputation.SpMVDelegate) { m.spmv = fn }
-
-// SpMVBlocks implements reputation.BlockScatterer.
-func (m *Mechanism) SpMVBlocks() int { return linalg.BlockCount(m.cfg.N) }
-
-// SpMVScatterBlocks implements reputation.BlockScatterer: it rematerializes
-// any dirty rows, then computes the canonical block partials for
-// y = Cᵀx. Because row materialization is a pure function of the current
-// local trust, a replica that folded the same reports returns bit-identical
-// partials.
-func (m *Mechanism) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
-	m.refreshMatrix()
-	return m.csr.ScatterBlocks(x, lob, hib)
-}
-
 var (
-	_ reputation.SpMVDelegator  = (*Mechanism)(nil)
-	_ reputation.BlockScatterer = (*Mechanism)(nil)
+	_ reputation.ComputeSharder      = (*Mechanism)(nil)
+	_ reputation.SpMVDelegator       = (*Mechanism)(nil)
+	_ reputation.BlockScatterer      = (*Mechanism)(nil)
+	_ reputation.ConvergenceReporter = (*Mechanism)(nil)
+	_ reputation.ScoresViewer        = (*Mechanism)(nil)
 )
 
 // Name implements reputation.Mechanism.
@@ -189,158 +132,36 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 }
 
 // SubmitBatch implements reputation.BatchSubmitter: a whole round's reports
-// fold through LocalTrust.AddBatch, touching each dirty row once instead of
-// per report.
+// fold through LocalTrust.AddBatch.
 func (m *Mechanism) SubmitBatch(rs []reputation.Report) error {
 	if len(rs) == 0 {
 		return nil
 	}
+	m.dirty = true // partial folds before an error still count
 	if err := m.lt.AddBatch(rs); err != nil {
-		m.dirty = true // partial folds before the error still count
 		return fmt.Errorf("eigentrust: %w", err)
 	}
-	m.dirty = true
 	return nil
 }
 
 var _ reputation.BatchSubmitter = (*Mechanism)(nil)
 
-// refreshMatrix rematerializes the CSR rows whose local trust changed since
-// the last materialization — only the dirty set in steady state, every row
-// after a snapshot restore. Row materialization is a pure function of the
-// row's current local trust, so an incrementally maintained matrix is
-// bit-for-bit identical to one rebuilt from scratch.
-func (m *Mechanism) refreshMatrix() {
-	if m.materialized && !m.lt.HasDirty() {
-		return
-	}
-	setRow := func(i int) {
-		m.colScratch, m.valScratch = m.lt.AppendRow(i, m.colScratch[:0], m.valScratch[:0])
-		m.csr.SetRow(i, m.colScratch, m.valScratch)
-		m.csr.NormalizeRow(i)
-	}
-	if !m.materialized {
-		for i := 0; i < m.cfg.N; i++ {
-			setRow(i)
-		}
-		m.materialized = true
-	} else {
-		for _, i := range m.lt.DirtyRows() {
-			setRow(i)
-		}
-	}
-	m.lt.ClearDirty()
-}
-
-// refreshNorm rebuilds the max-normalized score cache behind ScoresView.
-func (m *Mechanism) refreshNorm() {
-	maxV := 0.0
-	for _, v := range m.scores {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	m.normMax = maxV
-	if maxV == 0 {
-		for i := range m.norm {
-			m.norm[i] = 0
-		}
-		return
-	}
-	for i, v := range m.scores {
-		m.norm[i] = v / maxV
-	}
-}
-
 // Compute runs the power iteration t ← (1−α)·(Cᵀt + mᵀ·p) + α·p — where m
-// is the trust mass on dangling rows, folded in by the kernel's rank-one
-// correction instead of a dense pretrust fill — until the L1 change drops
-// below Epsilon, returning the number of iterations performed. By default
-// the iteration warm-starts from the previous fixed point (the first
-// Compute starts from pretrust, which is what the scores are initialized
-// to), so an incremental recompute pays only as many iterations as the
-// matrix actually moved; Config.ColdStart restores the fixed pretrust
-// start. Epsilon is never loosened on warm starts — the stopping contract
-// is identical either way. Only dirty CSR rows are rematerialized, the
-// iteration reuses the mechanism's buffers, and the SpMV scatters over the
-// configured worker shards with a canonical fold, so the result is
-// identical for every worker count.
+// is the trust mass on dangling rows and p the pretrust vector — until the
+// L1 change drops below Epsilon, returning the number of iterations
+// performed. By default the iteration warm-starts from the previous fixed
+// point (the first Compute starts from pretrust, which is what the scores
+// are initialized to), so an incremental recompute pays only as many
+// iterations as the matrix actually moved; Config.ColdStart restores the
+// fixed pretrust start.
 func (m *Mechanism) Compute() int {
 	if !m.dirty {
 		return 0
 	}
-	n := m.cfg.N
-	m.refreshMatrix()
-	t, next := m.vecA, m.vecB
-	warm := !m.cfg.ColdStart
-	if warm {
-		copy(t, m.scores)
-	} else {
-		copy(t, m.pretrust)
-	}
-	iters := 0
-	residual := 0.0
-	for ; iters < m.cfg.MaxIter; iters++ {
-		if m.spmv == nil || !m.spmv(next, t, m.pretrust) {
-			m.csr.MulTranspose(next, t, m.pretrust, m.workers, &m.ws)
-		}
-		diff := 0.0
-		for j := 0; j < n; j++ {
-			next[j] = (1-m.cfg.Alpha)*next[j] + m.cfg.Alpha*m.pretrust[j]
-			diff += math.Abs(next[j] - t[j])
-		}
-		t, next = next, t
-		residual = diff
-		if diff < m.cfg.Epsilon {
-			iters++
-			break
-		}
-	}
-	copy(m.scores, t)
-	m.vecA, m.vecB = t, next // keep the buffer pair owned by the mechanism
-	m.refreshNorm()
+	iters := m.Iterate()
 	m.dirty = false
-	m.lastConv = reputation.Convergence{Iterations: iters, Residual: residual, Warm: warm}
-	m.hasConv = true
 	return iters
 }
-
-// LastConvergence implements reputation.ConvergenceReporter.
-func (m *Mechanism) LastConvergence() (reputation.Convergence, bool) {
-	return m.lastConv, m.hasConv
-}
-
-var _ reputation.ConvergenceReporter = (*Mechanism)(nil)
-
-// Raw returns the global trust distribution (sums to 1).
-func (m *Mechanism) Raw() []float64 {
-	out := make([]float64, len(m.scores))
-	copy(out, m.scores)
-	return out
-}
-
-// Score implements reputation.Mechanism: the peer's global trust normalized
-// by the maximum, so the best peer scores 1.
-func (m *Mechanism) Score(peer int) float64 {
-	if peer < 0 || peer >= len(m.scores) {
-		return 0
-	}
-	if m.normMax == 0 {
-		return 0
-	}
-	return m.scores[peer] / m.normMax
-}
-
-// Scores implements reputation.Mechanism.
-func (m *Mechanism) Scores() []float64 {
-	return append([]float64(nil), m.norm...)
-}
-
-// ScoresView implements reputation.ScoresViewer: the max-normalized scores
-// without the copy. Read-only; valid until the next Compute or restore.
-func (m *Mechanism) ScoresView() []float64 { return m.norm }
-
-var _ reputation.ScoresViewer = (*Mechanism)(nil)
 
 // DistributedResult reports the cost of a distributed computation.
 type DistributedResult struct {
@@ -370,7 +191,8 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 	// Sync the sparse matrix; peers with no positive opinions follow the
 	// pretrust distribution (the paper's dangling-row rule), iterated on
 	// the fly instead of materialized as dense rows.
-	m.refreshMatrix()
+	m.Refresh()
+	csr := m.Matrix()
 	t := append([]float64(nil), m.pretrust...)
 	accum := make([]float64, n)
 
@@ -397,7 +219,7 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 			if !net.Alive(overlay.NodeID(i)) || t[i] <= 0 {
 				continue
 			}
-			if m.csr.RowEmpty(i) {
+			if csr.RowEmpty(i) {
 				for j, c := range m.pretrust {
 					if c > 0 {
 						net.Send(overlay.NodeID(i), overlay.NodeID(j), "et-contrib", contrib{value: c * t[i]})
@@ -405,7 +227,7 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 				}
 				continue
 			}
-			cols, vals := m.csr.Row(i)
+			cols, vals := csr.Row(i)
 			for k, j := range cols {
 				if vals[k] > 0 {
 					net.Send(overlay.NodeID(i), overlay.NodeID(int(j)), "et-contrib", contrib{value: vals[k] * t[i]})
@@ -432,10 +254,10 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 	// Compare against the centralized fixed point.
 	m.dirty = true
 	m.Compute()
+	central := m.Raw()
 	for j := 0; j < n; j++ {
-		res.MaxDiff += math.Abs(t[j] - m.scores[j])
+		res.MaxDiff += math.Abs(t[j] - central[j])
 	}
-	copy(m.scores, t)
-	m.refreshNorm()
+	m.SetRaw(t)
 	return res, nil
 }

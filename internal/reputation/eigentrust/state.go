@@ -10,10 +10,10 @@ import (
 
 // mechanismState is the gob-serialized mutable state of the mechanism. The
 // pre-trust vector is configuration and is rebuilt by New. The local-trust
-// matrix travels in its sparse form, dirty set included; the CSR itself is
-// derived state and is rematerialized from the matrix on the first Compute
-// after a restore — row materialization is pure, so restore-then-run is
-// bit-for-bit identical to an uninterrupted run.
+// matrix travels in its sparse form; the CSR itself is derived state and is
+// rematerialized in full from the matrix on the first Compute after a
+// restore — row materialization is pure, so restore-then-run is bit-for-bit
+// identical to an uninterrupted run.
 type mechanismState struct {
 	LT     reputation.LocalTrustState
 	Scores []float64
@@ -27,12 +27,11 @@ type mechanismState struct {
 // MechanismState implements reputation.Snapshotter.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
-		LT:      m.lt.State(),
-		Scores:  append([]float64(nil), m.scores...),
-		Dirty:   m.dirty,
-		Conv:    m.lastConv,
-		HasConv: m.hasConv,
+		LT:     m.lt.State(),
+		Scores: m.Walk.Raw(),
+		Dirty:  m.dirty,
 	}
+	st.Conv, st.HasConv = m.Walk.LastConvergence()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("eigentrust: encode state: %w", err)
@@ -52,12 +51,8 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if err := m.lt.SetState(st.LT); err != nil {
 		return fmt.Errorf("eigentrust: %w", err)
 	}
-	copy(m.scores, st.Scores)
-	m.refreshNorm()
+	m.Walk.Resume(st.Scores, st.Conv, st.HasConv)
 	m.dirty = st.Dirty
-	m.materialized = false
-	m.lastConv = st.Conv
-	m.hasConv = st.HasConv
 	return nil
 }
 

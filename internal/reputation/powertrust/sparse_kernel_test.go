@@ -2,6 +2,7 @@ package powertrust
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -18,8 +19,9 @@ func denseRows(m *Mechanism) [][]float64 {
 	for i := 0; i < n; i++ {
 		row := make([]float64, n)
 		sum := 0.0
-		for j, p := range m.feedback[i] {
-			row[j] = p.sum / float64(p.count)
+		cols, pairs := m.feedback.Row(i)
+		for k, j := range cols {
+			row[j] = pairs[k].sum / float64(pairs[k].count)
 		}
 		for _, v := range row {
 			sum += v
@@ -291,8 +293,7 @@ func TestPowerNodesViewAliasesElection(t *testing.T) {
 
 // TestComputeSteadyStateAllocFree pins the reusable-buffer contract for the
 // walk itself (the election sorts ids per Compute and is measured out by
-// holding the matrix clean: only refreshNorm, jump fill and the iteration
-// run — all on reused buffers except the election's rank scratch).
+// running the walk core's Iterate directly with the matrix held clean).
 func TestComputeSteadyStateAllocFree(t *testing.T) {
 	m, err := New(Config{N: 400})
 	if err != nil {
@@ -300,16 +301,49 @@ func TestComputeSteadyStateAllocFree(t *testing.T) {
 	}
 	feedRandom(t, m, sim.NewRNG(3), 400, 4000)
 	m.Compute()
-	// Measure the walk in isolation: election + rebuild excluded.
-	t0 := m.vecA
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := range t0 {
-			t0[i] = 1 / float64(m.cfg.N)
-		}
-		m.step(m.vecMid, t0)
-		m.step(m.vecB, m.vecMid)
-	})
+	allocs := testing.AllocsPerRun(20, func() { m.Iterate() })
 	if allocs != 0 {
 		t.Fatalf("steady-state walk allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestRestoreRejectsBadFeedback feeds the restore path feedback lists a map
+// could not have produced — out of range, out of order, duplicated, or with
+// no ratings — and checks each is refused with the live state untouched.
+func TestRestoreRejectsBadFeedback(t *testing.T) {
+	const n = 6
+	m, err := New(Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRandom(t, m, sim.NewRNG(5), n, 20)
+	m.Compute()
+	before, err := m.MechanismState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]feedbackEntry{
+		"rater-range":  {{Rater: n, Ratee: 0, Sum: 1, Count: 1}},
+		"ratee-range":  {{Rater: 0, Ratee: -1, Sum: 1, Count: 1}},
+		"out-of-order": {{Rater: 3, Ratee: 1, Sum: 1, Count: 1}, {Rater: 1, Ratee: 2, Sum: 1, Count: 1}},
+		"duplicate":    {{Rater: 1, Ratee: 2, Sum: 1, Count: 1}, {Rater: 1, Ratee: 2, Sum: 0, Count: 1}},
+		"no-ratings":   {{Rater: 1, Ratee: 2, Sum: 0, Count: 0}},
+	}
+	for name, fb := range cases {
+		var buf bytes.Buffer
+		st := mechanismState{Feedback: fb, Scores: make([]float64, n), Dirty: true}
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RestoreMechanismState(buf.Bytes()); err == nil {
+			t.Fatalf("%s: bad feedback accepted", name)
+		}
+		after, err := m.MechanismState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: rejected restore changed the mechanism state", name)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 
 	"repro/internal/reputation"
 )
@@ -17,48 +16,36 @@ type feedbackEntry struct {
 }
 
 // mechanismState is the gob-serialized mutable state of the mechanism. The
-// CSR is derived state: it is rematerialized from the feedback graph on the
-// first Compute after a restore (materialization is pure, so restore-then-
-// run matches an uninterrupted run bit for bit). DirtyRows carries the
-// pending incremental-rebuild set for representation fidelity.
+// CSR is derived state: it is rematerialized in full from the feedback
+// graph on the first Compute after a restore (materialization is pure, so
+// restore-then-run matches an uninterrupted run bit for bit).
 type mechanismState struct {
-	Feedback  []feedbackEntry
-	Scores    []float64
-	Power     []int
-	Dirty     bool
-	DirtyRows []int32
+	Feedback []feedbackEntry
+	Scores   []float64
+	Power    []int
+	Dirty    bool
 	// Convergence diagnostics of the most recent iterative Compute, so
 	// restored runs report the same diagnostics an uninterrupted run would.
 	Conv    reputation.Convergence
 	HasConv bool
 }
 
-// MechanismState implements reputation.Snapshotter.
+// MechanismState implements reputation.Snapshotter. Feedback rows are
+// stored sorted, so walking them in order yields the canonical entry order
+// and equal states encode to equal blobs.
 func (m *Mechanism) MechanismState() ([]byte, error) {
 	st := mechanismState{
-		Scores:  append([]float64(nil), m.scores...),
-		Power:   append([]int(nil), m.power...),
-		Dirty:   m.dirty,
-		Conv:    m.lastConv,
-		HasConv: m.hasConv,
+		Scores: m.Walk.Raw(),
+		Power:  append([]int(nil), m.power...),
+		Dirty:  m.dirty,
 	}
-	for i := range m.dirtyRows {
-		st.DirtyRows = append(st.DirtyRows, i)
-	}
-	sort.Slice(st.DirtyRows, func(a, b int) bool { return st.DirtyRows[a] < st.DirtyRows[b] })
-	for i, row := range m.feedback {
-		for j, p := range row {
-			st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: j, Sum: p.sum, Count: p.count})
+	st.Conv, st.HasConv = m.Walk.LastConvergence()
+	for i := 0; i < m.cfg.N; i++ {
+		cols, pairs := m.feedback.Row(i)
+		for k, j := range cols {
+			st.Feedback = append(st.Feedback, feedbackEntry{Rater: i, Ratee: int(j), Sum: pairs[k].sum, Count: pairs[k].count})
 		}
 	}
-	// Map iteration order is random; canonicalize so equal states encode to
-	// equal blobs.
-	sort.Slice(st.Feedback, func(a, b int) bool {
-		if st.Feedback[a].Rater != st.Feedback[b].Rater {
-			return st.Feedback[a].Rater < st.Feedback[b].Rater
-		}
-		return st.Feedback[a].Ratee < st.Feedback[b].Ratee
-	})
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("powertrust: encode state: %w", err)
@@ -66,7 +53,9 @@ func (m *Mechanism) MechanismState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMechanismState implements reputation.Snapshotter.
+// RestoreMechanismState implements reputation.Snapshotter. Out-of-range,
+// out-of-order or duplicate feedback entries, and entries with no ratings,
+// are rejected and leave the mechanism untouched.
 func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	var st mechanismState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -75,32 +64,21 @@ func (m *Mechanism) RestoreMechanismState(data []byte) error {
 	if len(st.Scores) != m.cfg.N {
 		return fmt.Errorf("powertrust: state for %d peers, want %d", len(st.Scores), m.cfg.N)
 	}
-	feedback := make([]map[int]*pair, m.cfg.N)
 	for _, e := range st.Feedback {
-		if e.Rater < 0 || e.Rater >= m.cfg.N || e.Ratee < 0 || e.Ratee >= m.cfg.N {
-			return fmt.Errorf("powertrust: state entry %d->%d out of range [0,%d)", e.Rater, e.Ratee, m.cfg.N)
+		if e.Count < 1 {
+			return fmt.Errorf("powertrust: state entry %d->%d has count %d", e.Rater, e.Ratee, e.Count)
 		}
-		if feedback[e.Rater] == nil {
-			feedback[e.Rater] = make(map[int]*pair)
-		}
-		feedback[e.Rater][e.Ratee] = &pair{sum: e.Sum, count: e.Count}
 	}
-	dirtyRows := make(map[int32]struct{}, len(st.DirtyRows))
-	for _, i := range st.DirtyRows {
-		if i < 0 || int(i) >= m.cfg.N {
-			return fmt.Errorf("powertrust: dirty row %d out of range [0,%d)", i, m.cfg.N)
-		}
-		dirtyRows[i] = struct{}{}
+	err := m.feedback.Load(len(st.Feedback), func(k int) (int, int, pair) {
+		e := st.Feedback[k]
+		return e.Rater, e.Ratee, pair{sum: e.Sum, count: e.Count}
+	})
+	if err != nil {
+		return fmt.Errorf("powertrust: state: %w", err)
 	}
-	m.feedback = feedback
-	copy(m.scores, st.Scores)
-	m.refreshNorm()
+	m.Walk.Resume(st.Scores, st.Conv, st.HasConv)
 	m.power = append([]int(nil), st.Power...)
 	m.dirty = st.Dirty
-	m.dirtyRows = dirtyRows
-	m.materialized = false
-	m.lastConv = st.Conv
-	m.hasConv = st.HasConv
 	return nil
 }
 

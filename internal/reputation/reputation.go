@@ -9,8 +9,9 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/linalg"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -121,133 +122,141 @@ type CommunityAssessor interface {
 	TrustworthyFraction() float64
 }
 
+// Ratings is the sparse rater×ratee report store the matrix mechanisms
+// fold into: one sorted linalg.Rows row per rater holding a cell of report
+// aggregates C for every ratee it has rated, plus the set of rows changed
+// since the mechanism last materialized them, so a recompute touches
+// O(changed rows), not Θ(n²). fold gives a report's meaning to its cell;
+// weight maps a cell to its unnormalized walk weight, or reports that the
+// cell contributes no entry.
+type Ratings[C any] struct {
+	rows   *linalg.Rows[C]
+	dirty  metrics.DirtySet //trustlint:derived restore leaves it empty; the owner's first refresh rebuilds every row
+	fold   func(c *C, value float64)
+	weight func(c C) (float64, bool)
+}
+
+// NewRatings returns an empty store for n peers.
+func NewRatings[C any](n int, fold func(c *C, value float64), weight func(c C) (float64, bool)) Ratings[C] {
+	return Ratings[C]{rows: linalg.NewRows[C](n), fold: fold, weight: weight}
+}
+
+// N returns the matrix dimension.
+func (r *Ratings[C]) N() int { return r.rows.N() }
+
+// Add folds a report into the store. Out-of-range peers or self-ratings
+// are rejected.
+func (r *Ratings[C]) Add(rep Report) error {
+	n := r.rows.N()
+	if rep.Rater < 0 || rep.Rater >= n || rep.Ratee < 0 || rep.Ratee >= n {
+		return fmt.Errorf("reputation: report %d->%d out of range [0,%d)", rep.Rater, rep.Ratee, n)
+	}
+	if rep.Rater == rep.Ratee {
+		return fmt.Errorf("reputation: self-rating by %d rejected", rep.Rater)
+	}
+	r.fold(r.rows.Cell(rep.Rater, rep.Ratee), rep.Value)
+	r.dirty.Mark(rep.Rater)
+	return nil
+}
+
+// AddBatch folds a batch of reports. The result is exactly that of calling
+// Add for each report in order; the first invalid report aborts the batch
+// with the reports before it already folded.
+func (r *Ratings[C]) AddBatch(rs []Report) error {
+	for i := range rs {
+		if err := r.Add(rs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Row returns rater i's ratees (ascending) and their cells. The slices
+// alias internal storage: read-only, valid until the next fold into row i.
+func (r *Ratings[C]) Row(i int) ([]int32, []C) { return r.rows.Row(i) }
+
+// AppendRow appends row i's weighted entries — column indices ascending —
+// to the given scratch slices and returns them. It is the materialization
+// feed of the mechanisms' CSR rebuild.
+func (r *Ratings[C]) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
+	if i < 0 || i >= r.rows.N() {
+		return cols, vals
+	}
+	rc, cells := r.rows.Row(i)
+	for k, c := range cells {
+		if w, ok := r.weight(c); ok {
+			cols = append(cols, rc[k])
+			vals = append(vals, w)
+		}
+	}
+	return cols, vals
+}
+
+// Load replaces the store's contents with count cells, where at(k) yields
+// the k-th as (rater, ratee, cell) in strictly ascending (rater, ratee)
+// order. Out-of-range, out-of-order or duplicate cells are rejected and
+// leave the store untouched. The dirty set is emptied: a restored owner
+// rebuilds every row on its first refresh.
+func (r *Ratings[C]) Load(count int, at func(k int) (rater, ratee int, c C)) error {
+	if err := r.rows.Load(count, at); err != nil {
+		return err
+	}
+	r.dirty.Reset()
+	return nil
+}
+
+// DirtyRows returns, in ascending order, the rows changed since the last
+// ClearDirty — the rows whose CSR materialization is stale. The slice is
+// owned by the store and valid until the next fold or ClearDirty.
+func (r *Ratings[C]) DirtyRows() []int { return r.dirty.Sorted() }
+
+// HasDirty reports whether any row changed since the last ClearDirty.
+func (r *Ratings[C]) HasDirty() bool { return r.dirty.Len() > 0 }
+
+// ClearDirty empties the dirty set (called after the mechanism has
+// rematerialized the rows it reported).
+func (r *Ratings[C]) ClearDirty() { r.dirty.Reset() }
+
 // cell is one (rater, ratee) aggregate of the local-trust matrix.
 type cell struct{ sat, unsat int32 }
 
 // LocalTrust accumulates reports into EigenTrust-style local trust values:
 // s_ij = sat(i,j) − unsat(i,j), and normalized rows
-// c_ij = max(s_ij,0) / Σ_j max(s_ij,0).
-//
-// The matrix is stored sparsely — one map per rater, holding only pairs
-// that ever exchanged a report — and tracks which rows changed since the
-// mechanism last materialized them (the dirty set), so a recompute touches
-// O(changed rows), not Θ(n²).
+// c_ij = max(s_ij,0) / Σ_j max(s_ij,0). It stores only pairs that ever
+// exchanged a report.
 type LocalTrust struct {
-	n     int
-	rows  []map[int32]cell
-	dirty map[int32]struct{}
+	Ratings[cell]
 }
 
 // NewLocalTrust returns an empty matrix for n peers.
 func NewLocalTrust(n int) *LocalTrust {
-	if n < 0 {
-		n = 0
-	}
-	return &LocalTrust{
-		n:     n,
-		rows:  make([]map[int32]cell, n),
-		dirty: make(map[int32]struct{}),
-	}
+	return &LocalTrust{NewRatings(n, foldSatUnsat, positiveTrust)}
 }
 
-// N returns the matrix dimension.
-func (l *LocalTrust) N() int { return l.n }
-
-func (l *LocalTrust) markDirty(i int) { l.dirty[int32(i)] = struct{}{} }
-
-// Add folds a report into the matrix. Ratings >= SatThreshold count as
-// satisfactory. Out-of-range peers or self-ratings are rejected.
-func (l *LocalTrust) Add(r Report) error {
-	if r.Rater < 0 || r.Rater >= l.n || r.Ratee < 0 || r.Ratee >= l.n {
-		return fmt.Errorf("reputation: report %d->%d out of range [0,%d)", r.Rater, r.Ratee, l.n)
-	}
-	if r.Rater == r.Ratee {
-		return fmt.Errorf("reputation: self-rating by %d rejected", r.Rater)
-	}
-	if l.rows[r.Rater] == nil {
-		l.rows[r.Rater] = make(map[int32]cell)
-	}
-	c := l.rows[r.Rater][int32(r.Ratee)]
-	if r.Value >= SatThreshold {
+// foldSatUnsat counts a rating >= SatThreshold as satisfactory.
+func foldSatUnsat(c *cell, value float64) {
+	if value >= SatThreshold {
 		c.sat++
 	} else {
 		c.unsat++
 	}
-	l.rows[r.Rater][int32(r.Ratee)] = c
-	l.markDirty(r.Rater)
-	return nil
 }
 
-// AddBatch folds a batch of reports, amortizing the row lookup and
-// dirty-set insert across consecutive reports by the same rater (a round's
-// reports arrive grouped by interaction, so runs of equal raters are
-// common). The result is exactly that of calling Add for each report in
-// order; the first invalid report aborts the batch with the reports before
-// it already folded.
-func (l *LocalTrust) AddBatch(rs []Report) error {
-	lastRater := -1
-	var row map[int32]cell
-	for i := range rs {
-		r := &rs[i]
-		if r.Rater < 0 || r.Rater >= l.n || r.Ratee < 0 || r.Ratee >= l.n {
-			return fmt.Errorf("reputation: report %d->%d out of range [0,%d)", r.Rater, r.Ratee, l.n)
-		}
-		if r.Rater == r.Ratee {
-			return fmt.Errorf("reputation: self-rating by %d rejected", r.Rater)
-		}
-		if r.Rater != lastRater {
-			if l.rows[r.Rater] == nil {
-				l.rows[r.Rater] = make(map[int32]cell)
-			}
-			row = l.rows[r.Rater]
-			l.markDirty(r.Rater)
-			lastRater = r.Rater
-		}
-		c := row[int32(r.Ratee)]
-		if r.Value >= SatThreshold {
-			c.sat++
-		} else {
-			c.unsat++
-		}
-		row[int32(r.Ratee)] = c
-	}
-	return nil
+// positiveTrust is s_ij when positive; non-positive pairs carry no trust.
+func positiveTrust(c cell) (float64, bool) {
+	return float64(c.sat - c.unsat), c.sat > c.unsat
 }
 
 // S returns max(sat−unsat, 0) for the pair (i, j).
 func (l *LocalTrust) S(i, j int) float64 {
-	if i < 0 || i >= l.n || j < 0 || j >= l.n {
+	if i < 0 || i >= l.N() || j < 0 || j >= l.N() {
 		return 0
 	}
-	c := l.rows[i][int32(j)]
-	v := c.sat - c.unsat
-	if v < 0 {
-		return 0
+	c, _ := l.rows.Get(i, j)
+	if v, ok := positiveTrust(c); ok {
+		return v
 	}
-	return float64(v)
-}
-
-// AppendRow appends row i's positive local-trust entries — column indices
-// ascending, values s_ij > 0 — to the given scratch slices and returns
-// them. It is the materialization feed of the mechanisms' CSR rebuild.
-func (l *LocalTrust) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
-	if i < 0 || i >= l.n {
-		return cols, vals
-	}
-	start := len(cols)
-	//trustlint:ordered the appended keys are sorted just below through the row alias of cols[start:]
-	for j, c := range l.rows[i] {
-		if c.sat > c.unsat {
-			cols = append(cols, j)
-		}
-	}
-	row := cols[start:]
-	sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-	for _, j := range row {
-		c := l.rows[i][j]
-		vals = append(vals, float64(c.sat-c.unsat))
-	}
-	return cols, vals
+	return 0
 }
 
 // NormalizedRow returns row i of the normalized matrix C as a dense vector.
@@ -256,9 +265,9 @@ func (l *LocalTrust) AppendRow(i int, cols []int32, vals []float64) ([]int32, []
 // single-row inspection and the dense reference implementation; the compute
 // path materializes rows sparsely via AppendRow.
 func (l *LocalTrust) NormalizedRow(i int, pretrust []float64) []float64 {
-	row := make([]float64, l.n)
+	row := make([]float64, l.N())
 	sum := 0.0
-	for j := 0; j < l.n; j++ {
+	for j := range row {
 		row[j] = l.S(i, j)
 		sum += row[j]
 	}
@@ -277,16 +286,18 @@ func (l *LocalTrust) NormalizedRow(i int, pretrust []float64) []float64 {
 // positive — the matrix's conclusion about community trustworthiness.
 // It returns 1 when no peer has incoming ratings. Cost: O(nnz).
 func (l *LocalTrust) NetPositiveFraction() float64 {
-	net := make([]int32, l.n)
-	seen := make([]int32, l.n)
-	for _, row := range l.rows {
-		for j, c := range row {
-			net[j] += c.sat - c.unsat
-			seen[j] += c.sat + c.unsat
+	n := l.N()
+	net := make([]int32, n)
+	seen := make([]int32, n)
+	for i := 0; i < n; i++ {
+		cols, cells := l.rows.Row(i)
+		for k, j := range cols {
+			net[j] += cells[k].sat - cells[k].unsat
+			seen[j] += cells[k].sat + cells[k].unsat
 		}
 	}
 	rated, positive := 0, 0
-	for p := 0; p < l.n; p++ {
+	for p := 0; p < n; p++ {
 		if seen[p] == 0 {
 			continue
 		}
@@ -305,51 +316,33 @@ func (l *LocalTrust) NetPositiveFraction() float64 {
 // whitewasher's fresh identity would present (no one has rated it, it has
 // rated no one). Every touched row joins the dirty set.
 func (l *LocalTrust) ResetPeer(i int) {
-	if i < 0 || i >= l.n {
+	if i < 0 || i >= l.N() {
 		return
 	}
-	if l.rows[i] != nil {
-		l.rows[i] = nil
-		l.markDirty(i)
+	if l.rows.Len(i) > 0 {
+		l.rows.ClearRow(i)
+		l.dirty.Mark(i)
 	}
-	for k, row := range l.rows {
-		if _, ok := row[int32(i)]; ok {
-			delete(row, int32(i))
-			l.markDirty(k)
+	for k := 0; k < l.N(); k++ {
+		if l.rows.Delete(k, i) {
+			l.dirty.Mark(k)
 		}
 	}
 }
 
 // HasOutgoing reports whether peer i has any positive local trust.
 func (l *LocalTrust) HasOutgoing(i int) bool {
-	if i < 0 || i >= l.n {
+	if i < 0 || i >= l.N() {
 		return false
 	}
-	for _, c := range l.rows[i] {
-		if c.sat > c.unsat {
+	_, cells := l.rows.Row(i)
+	for _, c := range cells {
+		if _, ok := positiveTrust(c); ok {
 			return true
 		}
 	}
 	return false
 }
-
-// DirtyRows returns, in ascending order, the rows changed since the last
-// ClearDirty — the rows whose CSR materialization is stale.
-func (l *LocalTrust) DirtyRows() []int {
-	out := make([]int, 0, len(l.dirty))
-	for i := range l.dirty {
-		out = append(out, int(i))
-	}
-	sort.Ints(out)
-	return out
-}
-
-// HasDirty reports whether any row changed since the last ClearDirty.
-func (l *LocalTrust) HasDirty() bool { return len(l.dirty) > 0 }
-
-// ClearDirty empties the dirty set (called after the mechanism has
-// rematerialized the rows it reported).
-func (l *LocalTrust) ClearDirty() { clear(l.dirty) }
 
 // UniformPretrust returns the uniform distribution over n peers.
 func UniformPretrust(n int) []float64 {

@@ -162,9 +162,6 @@ func TestLocalTrustStateRoundTrip(t *testing.T) {
 	lt.ClearDirty()
 	_ = lt.Add(Report{Rater: 2, Ratee: 0, Value: 0.7}) // pending dirty row
 	st := lt.State()
-	if len(st.Dirty) != 1 || st.Dirty[0] != 2 {
-		t.Fatalf("state dirty = %v, want [2]", st.Dirty)
-	}
 	restored := NewLocalTrust(4)
 	if err := restored.SetState(st); err != nil {
 		t.Fatal(err)
@@ -175,9 +172,6 @@ func TestLocalTrustStateRoundTrip(t *testing.T) {
 				t.Fatalf("S(%d,%d) mismatch after round-trip", i, j)
 			}
 		}
-	}
-	if got := restored.DirtyRows(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("restored dirty rows = %v, want [2]", got)
 	}
 	// Equal matrices must encode to equal (canonical) states.
 	st2 := restored.State()
@@ -340,5 +334,30 @@ func TestNoneBaseline(t *testing.T) {
 	}
 	if m.Score(0) != 0.5 {
 		t.Fatal("Score != 0.5")
+	}
+}
+
+// TestLocalTrustStateRejectsBadEntries feeds SetState entry lists a map
+// could not have produced — out of range, out of order, duplicated — and
+// checks each is refused with the live matrix left as it was.
+func TestLocalTrustStateRejectsBadEntries(t *testing.T) {
+	lt := NewLocalTrust(4)
+	_ = lt.Add(Report{Rater: 1, Ratee: 3, Value: 0.9})
+	want := lt.State()
+	cases := map[string][]LocalTrustEntry{
+		"rater-range":  {{I: 4, J: 0, Sat: 1}},
+		"ratee-range":  {{I: 0, J: -1, Sat: 1}},
+		"out-of-order": {{I: 2, J: 1, Sat: 1}, {I: 0, J: 3, Sat: 1}},
+		"col-order":    {{I: 0, J: 3, Sat: 1}, {I: 0, J: 2, Sat: 1}},
+		"duplicate":    {{I: 0, J: 2, Sat: 1}, {I: 0, J: 2, Unsat: 1}},
+	}
+	for name, entries := range cases {
+		if err := lt.SetState(LocalTrustState{N: 4, Entries: entries}); err == nil {
+			t.Fatalf("%s: bad entries accepted", name)
+		}
+		got := lt.State()
+		if len(got.Entries) != len(want.Entries) || got.Entries[0] != want.Entries[0] {
+			t.Fatalf("%s: rejected restore changed the matrix: %+v", name, got.Entries)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package reputation
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -30,62 +29,41 @@ type LocalTrustEntry struct {
 }
 
 // LocalTrustState is the serializable state of a LocalTrust matrix: the
-// sparse entry list (sorted by rater, then ratee, so equal matrices encode
-// to equal blobs) plus the dirty-row set, so a restored mechanism knows
-// which rows still await rematerialization.
+// sparse entry list, sorted by rater, then ratee, so equal matrices encode
+// to equal blobs. The dirty-row set is not serialized: a restored mechanism
+// rebuilds every row on its first refresh.
 type LocalTrustState struct {
 	N       int
 	Entries []LocalTrustEntry
-	Dirty   []int32
 }
 
-// State captures the matrix.
+// State captures the matrix. Rows are stored sorted, so walking them in
+// order yields the canonical entry order.
 func (l *LocalTrust) State() LocalTrustState {
-	st := LocalTrustState{N: l.n}
-	for i, row := range l.rows {
-		for j, c := range row {
-			st.Entries = append(st.Entries, LocalTrustEntry{I: int32(i), J: j, Sat: c.sat, Unsat: c.unsat})
+	st := LocalTrustState{N: l.N()}
+	for i := 0; i < st.N; i++ {
+		cols, cells := l.Ratings.Row(i)
+		for k, j := range cols {
+			st.Entries = append(st.Entries, LocalTrustEntry{I: int32(i), J: j, Sat: cells[k].sat, Unsat: cells[k].unsat})
 		}
 	}
-	// Map iteration order is random; canonicalize.
-	sort.Slice(st.Entries, func(a, b int) bool {
-		if st.Entries[a].I != st.Entries[b].I {
-			return st.Entries[a].I < st.Entries[b].I
-		}
-		return st.Entries[a].J < st.Entries[b].J
-	})
-	for i := range l.dirty {
-		st.Dirty = append(st.Dirty, i)
-	}
-	sort.Slice(st.Dirty, func(a, b int) bool { return st.Dirty[a] < st.Dirty[b] })
 	return st
 }
 
 // SetState restores a captured matrix of the same dimension, replacing the
-// current contents and dirty set.
+// current contents and emptying the dirty set. Out-of-range, out-of-order
+// or duplicate entries are rejected and leave the matrix untouched.
 func (l *LocalTrust) SetState(st LocalTrustState) error {
-	if st.N != l.n {
-		return fmt.Errorf("reputation: local-trust state for %d peers, want %d", st.N, l.n)
+	if st.N != l.N() {
+		return fmt.Errorf("reputation: local-trust state for %d peers, want %d", st.N, l.N())
 	}
-	rows := make([]map[int32]cell, l.n)
-	for _, e := range st.Entries {
-		if e.I < 0 || int(e.I) >= l.n || e.J < 0 || int(e.J) >= l.n {
-			return fmt.Errorf("reputation: local-trust state entry %d->%d out of range [0,%d)", e.I, e.J, l.n)
-		}
-		if rows[e.I] == nil {
-			rows[e.I] = make(map[int32]cell)
-		}
-		rows[e.I][e.J] = cell{sat: e.Sat, unsat: e.Unsat}
+	err := l.Load(len(st.Entries), func(k int) (int, int, cell) {
+		e := st.Entries[k]
+		return int(e.I), int(e.J), cell{sat: e.Sat, unsat: e.Unsat}
+	})
+	if err != nil {
+		return fmt.Errorf("reputation: local-trust state: %w", err)
 	}
-	dirty := make(map[int32]struct{}, len(st.Dirty))
-	for _, i := range st.Dirty {
-		if i < 0 || int(i) >= l.n {
-			return fmt.Errorf("reputation: local-trust dirty row %d out of range [0,%d)", i, l.n)
-		}
-		dirty[i] = struct{}{}
-	}
-	l.rows = rows
-	l.dirty = dirty
 	return nil
 }
 

@@ -63,11 +63,22 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// maxReportBody caps a POST /v1/reports body. The body is one
+// {rater, ratee, value} object, a few dozen bytes; the cap leaves room for
+// whitespace and long number spellings while keeping a hostile client from
+// streaming an unbounded body into the decoder.
+const maxReportBody = 1 << 10
+
 func (s *Server) handleSubmitReport(w http.ResponseWriter, r *http.Request) {
 	var rep trustnet.Report
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReportBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rep); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "report body exceeds %d bytes", maxReportBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid report body: %v", err)
 		return
 	}

@@ -330,6 +330,38 @@ func TestReportValidationOverHTTP(t *testing.T) {
 	}
 }
 
+// TestReportBodyCapOverHTTP pins the report body limit: a valid report
+// padded past maxReportBody is refused with 413 before it reaches the
+// queue, while the same report padded to just under the cap is accepted.
+func TestReportBodyCapOverHTTP(t *testing.T) {
+	srv, _ := newManualServer(t, 7)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	report := `{"rater":1,"ratee":2,"value":1}`
+	post := func(body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/reports", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(strings.Repeat(" ", maxReportBody+1) + report); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if n := srv.Stats().ReportsPending; n != 0 {
+		t.Fatalf("oversized body queued %d reports", n)
+	}
+	if code := post(strings.Repeat(" ", maxReportBody-len(report)) + report); code != http.StatusAccepted {
+		t.Fatalf("body at the cap: status %d, want %d", code, http.StatusAccepted)
+	}
+	if n := srv.Stats().ReportsPending; n != 1 {
+		t.Fatalf("%d reports pending after one accepted POST, want 1", n)
+	}
+}
+
 // TestSnapshotEndpointResumes proves the snapshot download is a real
 // checkpoint: restoring it into a fresh engine and running the remaining
 // epochs reproduces the server's own continuation exactly.

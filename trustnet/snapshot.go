@@ -22,6 +22,12 @@ import (
 // privacy.LedgerState holds per-owner aggregates in canonical order instead
 // of the disclosure event list, and social.NetworkState dropped the
 // interaction log — so a v2 blob would restore an empty ledger.
+//
+// Still v3: eigentrust's LocalTrustState.Dirty and powertrust's DirtyRows
+// lists were dropped. gob skips a stream field the target lacks and leaves
+// a target field the stream lacks at zero, so blobs decode in either
+// direction, and the dirty rows were never needed: every restore rebuilds
+// the whole trust matrix on its first refresh.
 const snapshotVersion = 3
 
 // Snapshot is a complete, serializable checkpoint of an Engine's mutable
