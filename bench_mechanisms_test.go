@@ -16,7 +16,7 @@ import (
 // BenchmarkMechanismCompute measures one steady-state mechanism recompute —
 // one fresh report submitted (a whole round's batch on the dirty=round
 // rows), then Compute — across population sizes,
-// interaction-graph densities and worker counts, for the sparse CSR kernel
+// interaction-graph densities and worker counts, for the sparse kernel
 // and (at tractable sizes) the frozen dense [][]float64 reference it
 // replaced. CI converts the output into BENCH_mechanisms.json; benchjson
 // derives the workers=K speedups and the kernel=sparse-vs-dense speedup
@@ -130,7 +130,7 @@ func benchSparse(b *testing.B, mech string, n, workers int, reports []reputation
 			b.Fatal(err)
 		}
 	}
-	m.Compute() // materialize the CSR; the loop measures the incremental step
+	m.Compute() // materialize the matrix; the loop measures the incremental step
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,8 +15,8 @@
 //   - Workers hold full engine replicas, built from the scenario spec the
 //     master streams at handshake and synced by Snapshot/Restore whenever
 //     the master's out-of-round mutation generation moves; in-round
-//     mechanism feedback is mirrored as report batches, so replica CSRs
-//     stay current without re-snapshotting.
+//     mechanism feedback is mirrored as report batches, so replica trust
+//     matrices stay current without re-snapshotting.
 //   - SpMV work is cut along the canonical block decomposition (a function
 //     of the matrix dimension only) and folded with linalg.FoldBlocks — the
 //     same arithmetic, in the same order, as the local kernel.

@@ -1,3 +1,14 @@
+// Package linalg is the sparse linear-algebra kernel under the reputation
+// mechanisms and the friendship graph: one sorted-row matrix type, Rows,
+// with incremental per-row updates, and a deterministic, shard-parallel
+// sparse matrix–vector product over a Rows[float64]. Every epoch the
+// interaction graph touches only a sliver of the population, so the
+// mechanisms rewrite just the changed rows and pay O(nnz) per power
+// iteration instead of the Θ(n²) a dense [][]float64 costs.
+//
+// Determinism is a hard contract, matching the epoch pipeline's: all
+// results are bit-for-bit identical for every worker count (see spmv.go for
+// the canonical-fold argument).
 package linalg
 
 import (
@@ -8,10 +19,10 @@ import (
 // Rows is a mutable square sparse matrix of cells of type C, one sorted row
 // per index: each row holds strictly ascending int32 columns and a parallel
 // cell slice. It is the store behind the reputation mechanisms' report
-// matrices and the friendship graph's adjacency. Reads see a row in
-// canonical column order with no sorting and no copy, which is the order
-// CSR materialization, SpMV accumulation and snapshot encoding all need;
-// get, insert and delete binary-search the row.
+// matrices, their row-normalized walk matrices and the friendship graph's
+// adjacency. Reads see a row in canonical column order with no sorting and
+// no copy, which is the order row normalization, SpMV accumulation and
+// snapshot encoding all need; get, insert and delete binary-search the row.
 type Rows[C any] struct {
 	rows []sortedRow[C]
 }
@@ -40,7 +51,7 @@ func (r *Rows[C]) Grow() int {
 
 // Row returns row i's columns (strictly ascending) and cells. The slices
 // alias internal storage: they are read-only and valid only until the next
-// insert or delete in row i.
+// insert, delete or SetRow in row i.
 func (r *Rows[C]) Row(i int) ([]int32, []C) {
 	return r.rows[i].cols, r.rows[i].cells
 }
@@ -81,6 +92,32 @@ func (r *Rows[C]) Delete(i, j int) bool {
 		row.cells = slices.Delete(row.cells, k, k+1)
 	}
 	return ok
+}
+
+// SetRow replaces row i with a copy of cols and cells, reusing the row's
+// storage when it has room. cols must be strictly ascending and in range,
+// and the two slices equally long: a violated invariant is a programming
+// error and panics. The slices must not alias the row's own storage (pass
+// scratch buffers, not the slices Row returns).
+func (r *Rows[C]) SetRow(i int, cols []int32, cells []C) {
+	n := len(r.rows)
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("linalg: SetRow row %d out of range [0,%d)", i, n))
+	}
+	if len(cols) != len(cells) {
+		panic(fmt.Sprintf("linalg: SetRow row %d: %d cols vs %d cells", i, len(cols), len(cells)))
+	}
+	for k, col := range cols {
+		if col < 0 || int(col) >= n {
+			panic(fmt.Sprintf("linalg: SetRow row %d: column %d out of range [0,%d)", i, col, n))
+		}
+		if k > 0 && cols[k-1] >= col {
+			panic(fmt.Sprintf("linalg: SetRow row %d: columns not strictly ascending at %d", i, k))
+		}
+	}
+	row := &r.rows[i]
+	row.cols = append(row.cols[:0], cols...)
+	row.cells = append(row.cells[:0], cells...)
 }
 
 // ClearRow empties row i and releases its storage.

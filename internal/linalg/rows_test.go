@@ -96,3 +96,32 @@ func TestRowsLoadRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestSetRowPanicsOnBadInput checks SetRow replaces a row, reusing its
+// storage, and panics on a row that breaks the sorted-row invariant.
+func TestSetRowPanicsOnBadInput(t *testing.T) {
+	r := NewRows[float64](3)
+	r.SetRow(0, []int32{0, 2}, []float64{1, 3})
+	cols, _ := r.Row(0)
+	r.SetRow(0, []int32{1}, []float64{4})
+	if got, ok := r.Get(0, 1); !ok || got != 4 || r.Len(0) != 1 || &cols[0] != &r.rows[0].cols[0] {
+		t.Fatalf("SetRow did not replace the row in place: %v %v", r.rows[0].cols, r.rows[0].cells)
+	}
+	for name, fn := range map[string]func(){
+		"unsorted":     func() { r.SetRow(0, []int32{2, 1}, []float64{1, 1}) },
+		"duplicate":    func() { r.SetRow(0, []int32{1, 1}, []float64{1, 1}) },
+		"out-of-range": func() { r.SetRow(0, []int32{5}, []float64{1}) },
+		"negative":     func() { r.SetRow(0, []int32{-1}, []float64{1}) },
+		"length":       func() { r.SetRow(0, []int32{1}, []float64{1, 2}) },
+		"bad-row":      func() { r.SetRow(9, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

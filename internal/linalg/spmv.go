@@ -20,10 +20,7 @@ const (
 // a distributed SpMV bit-identical to the local one: each block's partial is
 // produced by the same serial accumulation wherever it runs, and FoldBlocks
 // folds them in the same canonical order MulTranspose does.
-func BlockCount(n int) int { return blockCount(n) }
-
-// blockCount returns the canonical scatter block count for an n-row matrix.
-func blockCount(n int) int {
+func BlockCount(n int) int {
 	b := (n + spmvBlockRows - 1) / spmvBlockRows
 	if b < 1 {
 		b = 1
@@ -59,52 +56,45 @@ func (w *Workspace) ensure(blocks, n int) {
 }
 
 // MulTranspose computes y = Aᵀx + mass·dangle, where mass is the total x
-// weight sitting on empty (dangling) rows: mass = Σ_{i : row i empty} x[i].
-// This is the rank-one uniform correction that replaces a dense uniform (or
-// pretrust) fill of silent rows — dangle is the distribution a dangling
-// row's weight jumps to (nil applies no correction). x and y must have
-// length N and must not overlap.
+// weight sitting on empty (dangling) rows of a: mass = Σ_{i : row i empty}
+// x[i]. This is the rank-one uniform correction that replaces a dense
+// uniform (or pretrust) fill of silent rows — dangle is the distribution a
+// dangling row's weight jumps to (nil applies no correction). x and y must
+// have length a.N() and must not overlap.
 //
 // The product scatters over the canonical row blocks on up to `workers`
 // goroutines and folds the partial results in ascending block order; see
 // the package comment for why the result is bit-for-bit identical at any
 // worker count.
-func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
-	n := c.n
+func MulTranspose(a *Rows[float64], y, x, dangle []float64, workers int, ws *Workspace) {
+	n := a.N()
 	if n == 0 {
 		return
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	blocks := blockCount(n)
+	blocks := BlockCount(n)
 	ws.ensure(blocks, n)
-	rowsPer := (n + blocks - 1) / blocks
+	partials, masses := ws.partial[:blocks], ws.mass[:blocks]
 
 	// Scatter: each block accumulates its rows' contributions into its own
 	// partial vector, rows ascending, columns ascending within a row.
-	if workers == 1 {
+	if workers <= 1 {
 		// Inline serial path: no closures, so the steady state is
 		// allocation-free.
-		c.scatter(ws, x, rowsPer, 0, blocks)
+		scatter(a, x, partials, masses, 0)
 	} else {
 		sim.ForChunks(workers, blocks, func(lob, hib int) {
-			c.scatter(ws, x, rowsPer, lob, hib)
+			scatter(a, x, partials[lob:hib], masses[lob:hib], lob)
 		})
-	}
-
-	mass := 0.0
-	for b := 0; b < blocks; b++ {
-		mass += ws.mass[b]
 	}
 
 	// Fold: each output index is owned by one worker and sums the partials
 	// in ascending block order — canonical regardless of chunking.
-	if workers == 1 {
-		fold(ws, y, dangle, mass, blocks, 0, n)
+	mass := total(masses)
+	if workers <= 1 {
+		fold(y, dangle, partials, mass, 0, n)
 	} else {
 		sim.ForChunks(workers, n, func(lo, hi int) {
-			fold(ws, y, dangle, mass, blocks, lo, hi)
+			fold(y, dangle, partials, mass, lo, hi)
 		})
 	}
 }
@@ -116,24 +106,19 @@ func (c *CSR) MulTranspose(y, x, dangle []float64, workers int, ws *Workspace) {
 // partial computed here — in another process, say — is bit-for-bit the one
 // the local kernel would have produced. Pair with FoldBlocks on the full
 // block set to finish the product.
-func (c *CSR) ScatterBlocks(x []float64, lob, hib int) (partials [][]float64, masses []float64) {
-	n := c.n
+func ScatterBlocks(a *Rows[float64], x []float64, lob, hib int) (partials [][]float64, masses []float64) {
+	n := a.N()
+	hib = min(hib, BlockCount(n))
 	if n == 0 || lob >= hib {
 		return nil, nil
 	}
-	blocks := blockCount(n)
-	if hib > blocks {
-		hib = blocks
-	}
-	var ws Workspace
-	ws.ensure(blocks, n)
-	rowsPer := (n + blocks - 1) / blocks
-	c.scatter(&ws, x, rowsPer, lob, hib)
 	partials = make([][]float64, hib-lob)
-	for b := lob; b < hib; b++ {
-		partials[b-lob] = ws.partial[b][:n]
+	for k := range partials {
+		partials[k] = make([]float64, n)
 	}
-	return partials, ws.mass[lob:hib]
+	masses = make([]float64, hib-lob)
+	scatter(a, x, partials, masses, lob)
+	return partials, masses
 }
 
 // FoldBlocks completes y = Aᵀx + mass·dangle from a full set of per-block
@@ -144,41 +129,26 @@ func (c *CSR) ScatterBlocks(x []float64, lob, hib int) (partials [][]float64, ma
 // — so a product assembled from remotely computed blocks is bit-identical
 // to the local one. dangle == nil applies no correction.
 func FoldBlocks(y, dangle []float64, partials [][]float64, masses []float64) {
-	mass := 0.0
-	for _, m := range masses {
-		mass += m
-	}
-	blocks := len(partials)
-	for j := range y {
-		s := 0.0
-		for b := 0; b < blocks; b++ {
-			s += partials[b][j]
-		}
-		if dangle == nil {
-			y[j] = s
-		} else {
-			y[j] = s + mass*dangle[j]
-		}
-	}
+	fold(y, dangle, partials, total(masses), 0, len(y))
 }
 
-// scatter accumulates blocks [lob, hib) of the transpose product into the
-// workspace's per-block partial vectors and dangling masses.
-func (c *CSR) scatter(ws *Workspace, x []float64, rowsPer, lob, hib int) {
-	n := c.n
-	for b := lob; b < hib; b++ {
-		p := ws.partial[b]
-		for j := 0; j < n; j++ {
-			p[j] = 0
-		}
+// scatter accumulates the canonical blocks lob, lob+1, … of Aᵀx, one per
+// entry of partials: block lob+k's rows go into partials[k] (overwritten)
+// and their dangling x mass into masses[k].
+func scatter(a *Rows[float64], x []float64, partials [][]float64, masses []float64, lob int) {
+	n := a.N()
+	rowsPer := (n + BlockCount(n) - 1) / BlockCount(n)
+	for k, p := range partials {
+		p = p[:n]
+		clear(p)
 		mass := 0.0
-		lo, hi := b*rowsPer, (b+1)*rowsPer
-		if hi > n {
-			hi = n
-		}
+		lo := (lob + k) * rowsPer
+		hi := min(lo+rowsPer, n)
 		for i := lo; i < hi; i++ {
-			e := c.rows[i]
-			if e.n == 0 {
+			// Locals, not row fields: the stores into p would otherwise
+			// force a reload of the row's slice headers per entry.
+			cols, vals := a.rows[i].cols, a.rows[i].cells
+			if len(cols) == 0 {
 				mass += x[i]
 				continue
 			}
@@ -186,34 +156,35 @@ func (c *CSR) scatter(ws *Workspace, x []float64, rowsPer, lob, hib int) {
 			if xi == 0 {
 				continue
 			}
-			cols := c.cols[e.off : e.off+e.n]
-			vals := c.vals[e.off : e.off+e.n]
-			for k, col := range cols {
-				p[col] += vals[k] * xi
+			vals = vals[:len(cols)]
+			for c, col := range cols {
+				p[col] += vals[c] * xi
 			}
 		}
-		ws.mass[b] = mass
+		masses[k] = mass
 	}
 }
 
 // fold sums output indices [lo, hi) across all block partials in ascending
 // block order, applying the rank-one dangling correction when dangle is set.
-func fold(ws *Workspace, y, dangle []float64, mass float64, blocks, lo, hi int) {
-	if dangle == nil {
-		for j := lo; j < hi; j++ {
-			s := 0.0
-			for b := 0; b < blocks; b++ {
-				s += ws.partial[b][j]
-			}
-			y[j] = s
-		}
-		return
-	}
+func fold(y, dangle []float64, partials [][]float64, mass float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		s := 0.0
-		for b := 0; b < blocks; b++ {
-			s += ws.partial[b][j]
+		for _, p := range partials {
+			s += p[j]
 		}
-		y[j] = s + mass*dangle[j]
+		if dangle != nil {
+			s += mass * dangle[j]
+		}
+		y[j] = s
 	}
+}
+
+// total sums v in ascending index order.
+func total(v []float64) float64 {
+	s := 0.0
+	for _, m := range v {
+		s += m
+	}
+	return s
 }

@@ -9,7 +9,7 @@ package reputation
 
 // SpMVDelegate computes y = Aᵀx + mass·dangle for the mechanism's current
 // matrix, where mass is the total x weight on empty rows and dangle the
-// distribution that weight jumps to (exactly linalg.CSR.MulTranspose's
+// distribution that weight jumps to (exactly linalg.MulTranspose's
 // contract). It returns false to decline — no workers available, say — in
 // which case the mechanism runs the product locally. A delegate MUST be
 // bit-exact: the linalg block scatter/fold helpers guarantee this when the
@@ -33,6 +33,6 @@ type BlockScatterer interface {
 	// mechanism's dimension).
 	SpMVBlocks() int
 	// SpMVScatterBlocks returns the partial vectors and dangling masses of
-	// blocks [lob, hib) for y = Aᵀx, per linalg.CSR.ScatterBlocks.
+	// blocks [lob, hib) for y = Aᵀx, per linalg.ScatterBlocks.
 	SpMVScatterBlocks(x []float64, lob, hib int) (partials [][]float64, masses []float64)
 }

@@ -132,13 +132,15 @@ func (m *Mechanism) Submit(r reputation.Report) error {
 }
 
 // SubmitBatch implements reputation.BatchSubmitter: a whole round's reports
-// fold through LocalTrust.AddBatch.
+// fold through LocalTrust.AddBatch. Only a batch that folded at least one
+// report — partial folds before an error count — makes the next Compute
+// iterate.
 func (m *Mechanism) SubmitBatch(rs []reputation.Report) error {
-	if len(rs) == 0 {
-		return nil
+	err := m.lt.AddBatch(rs)
+	if m.lt.HasDirty() {
+		m.dirty = true
 	}
-	m.dirty = true // partial folds before an error still count
-	if err := m.lt.AddBatch(rs); err != nil {
+	if err != nil {
 		return fmt.Errorf("eigentrust: %w", err)
 	}
 	return nil
@@ -192,7 +194,7 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 	// pretrust distribution (the paper's dangling-row rule), iterated on
 	// the fly instead of materialized as dense rows.
 	m.Refresh()
-	csr := m.Matrix()
+	a := m.Matrix()
 	t := append([]float64(nil), m.pretrust...)
 	accum := make([]float64, n)
 
@@ -219,7 +221,7 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 			if !net.Alive(overlay.NodeID(i)) || t[i] <= 0 {
 				continue
 			}
-			if csr.RowEmpty(i) {
+			if a.Len(i) == 0 {
 				for j, c := range m.pretrust {
 					if c > 0 {
 						net.Send(overlay.NodeID(i), overlay.NodeID(j), "et-contrib", contrib{value: c * t[i]})
@@ -227,7 +229,7 @@ func (m *Mechanism) RunDistributed(net *overlay.Network, maxRounds int) (Distrib
 				}
 				continue
 			}
-			cols, vals := csr.Row(i)
+			cols, vals := a.Row(i)
 			for k, j := range cols {
 				if vals[k] > 0 {
 					net.Send(overlay.NodeID(i), overlay.NodeID(int(j)), "et-contrib", contrib{value: vals[k] * t[i]})

@@ -103,6 +103,32 @@ func TestComputeIdempotentWhenClean(t *testing.T) {
 	}
 }
 
+// TestRejectedBatchLeavesComputeClean checks that a batch whose first report
+// is rejected folds nothing and so leaves the mechanism clean: the next
+// Compute does no work and the scores keep every bit.
+func TestRejectedBatchLeavesComputeClean(t *testing.T) {
+	m, err := New(Config{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, m, 0, 1, 0.9, 3)
+	feed(t, m, 2, 3, 0.2, 2)
+	m.Compute()
+	before := m.Raw()
+	batch := []reputation.Report{{Rater: 1, Ratee: 1, Value: 1}, {Rater: 1, Ratee: 2, Value: 1}}
+	if err := m.SubmitBatch(batch); err == nil {
+		t.Fatal("self-rating batch accepted")
+	}
+	if iters := m.Compute(); iters != 0 {
+		t.Fatalf("Compute after a rejected batch ran %d iterations, want 0", iters)
+	}
+	for j, v := range m.Raw() {
+		if math.Float64bits(v) != math.Float64bits(before[j]) {
+			t.Fatalf("score[%d] moved from %v to %v", j, before[j], v)
+		}
+	}
+}
+
 func TestPretrustDampingLimitsCollusion(t *testing.T) {
 	// Colluding clique {3,4} rate each other highly; honest peers {0,1,2}
 	// rate the clique low. With pre-trusted honest peer 0, the clique must

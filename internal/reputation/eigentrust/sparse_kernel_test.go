@@ -114,7 +114,7 @@ func TestComputeWorkerInvariance(t *testing.T) {
 }
 
 // TestIncrementalMatchesFresh pins the dirty-set rematerialization: a
-// mechanism that computed mid-stream (so most CSR rows are reused, only
+// mechanism that computed mid-stream (so most matrix rows are reused, only
 // dirty ones rebuilt) must match, bit for bit, a mechanism that saw all
 // reports at once. ColdStart pins the iteration's starting vector — warm
 // starts (the default) legitimately stop at different points within Epsilon
@@ -231,7 +231,7 @@ func TestComputeSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedRandom(t, m, sim.NewRNG(3), 400, 4000)
-	m.Compute() // warm buffers and materialize the CSR
+	m.Compute() // warm buffers and materialize the matrix
 	allocs := testing.AllocsPerRun(20, func() {
 		m.dirty = true // force the iteration; no rows are dirty
 		m.Compute()

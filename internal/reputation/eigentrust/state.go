@@ -10,10 +10,10 @@ import (
 
 // mechanismState is the gob-serialized mutable state of the mechanism. The
 // pre-trust vector is configuration and is rebuilt by New. The local-trust
-// matrix travels in its sparse form; the CSR itself is derived state and is
-// rematerialized in full from the matrix on the first Compute after a
-// restore — row materialization is pure, so restore-then-run is bit-for-bit
-// identical to an uninterrupted run.
+// matrix travels in its sparse form; the walk's normalized matrix is
+// derived state and is rematerialized in full from the matrix on the first
+// Compute after a restore — row materialization is pure, so
+// restore-then-run is bit-for-bit identical to an uninterrupted run.
 type mechanismState struct {
 	LT     reputation.LocalTrustState
 	Scores []float64

@@ -169,7 +169,7 @@ func TestComputeWorkerInvariance(t *testing.T) {
 // TestIncrementalMatchesFresh pins the dirty-set rematerialization. The
 // power-node election depends on the score history, so the comparison holds
 // the compute schedule fixed and varies only the materialization path:
-// snapshot-restoring into a fresh mechanism leaves its CSR cold, forcing a
+// snapshot-restoring into a fresh mechanism leaves its matrix cold, forcing a
 // full rebuild where the original reuses every clean row.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	const n = 80
@@ -182,7 +182,7 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 	inc.Compute()
 	feedRandom(t, inc, rng, n, 300)
 
-	// Same data, cold CSR: restore forces a full rebuild, so the follow-up
+	// Same data, cold matrix: restore forces a full rebuild, so the follow-up
 	// Compute materializes every row from scratch while inc reuses all but
 	// its dirty rows.
 	blob, err := inc.MechanismState()

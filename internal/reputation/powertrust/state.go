@@ -16,9 +16,10 @@ type feedbackEntry struct {
 }
 
 // mechanismState is the gob-serialized mutable state of the mechanism. The
-// CSR is derived state: it is rematerialized in full from the feedback
-// graph on the first Compute after a restore (materialization is pure, so
-// restore-then-run matches an uninterrupted run bit for bit).
+// walk's normalized matrix is derived state: it is rematerialized in full
+// from the feedback graph on the first Compute after a restore
+// (materialization is pure, so restore-then-run matches an uninterrupted
+// run bit for bit).
 type mechanismState struct {
 	Feedback []feedbackEntry
 	Scores   []float64

@@ -177,7 +177,7 @@ func (r *Ratings[C]) Row(i int) ([]int32, []C) { return r.rows.Row(i) }
 
 // AppendRow appends row i's weighted entries — column indices ascending —
 // to the given scratch slices and returns them. It is the materialization
-// feed of the mechanisms' CSR rebuild.
+// feed of the walk's normalized-matrix rebuild.
 func (r *Ratings[C]) AppendRow(i int, cols []int32, vals []float64) ([]int32, []float64) {
 	if i < 0 || i >= r.rows.N() {
 		return cols, vals
@@ -206,8 +206,8 @@ func (r *Ratings[C]) Load(count int, at func(k int) (rater, ratee int, c C)) err
 }
 
 // DirtyRows returns, in ascending order, the rows changed since the last
-// ClearDirty — the rows whose CSR materialization is stale. The slice is
-// owned by the store and valid until the next fold or ClearDirty.
+// ClearDirty — the rows whose normalized materialization is stale. The
+// slice is owned by the store and valid until the next fold or ClearDirty.
 func (r *Ratings[C]) DirtyRows() []int { return r.dirty.Sorted() }
 
 // HasDirty reports whether any row changed since the last ClearDirty.

@@ -33,9 +33,10 @@ type WalkConfig struct {
 }
 
 // Walk is the power-iteration core EigenTrust and PowerTrust embed. It owns
-// the row-normalized matrix A as a CSR rematerialized incrementally from a
-// RowSource, the SpMV workspace and worker count, the score vector with its
-// max-normalized cache, and the convergence diagnostics. One step computes
+// the row-normalized matrix A as sorted rows rematerialized incrementally
+// from a RowSource, the SpMV workspace and worker count, the score vector
+// with its max-normalized cache, and the convergence diagnostics. One step
+// computes
 //
 //	y = (1−α)·(Aᵀx + mass·dangle) + α·jump
 //
@@ -56,7 +57,7 @@ type Walk struct {
 	jump   []float64
 	scores []float64
 
-	csr          *linalg.CSR
+	a            *linalg.Rows[float64]
 	ws           linalg.Workspace
 	workers      int
 	materialized bool // false forces a full rebuild on the next refresh
@@ -87,9 +88,9 @@ func NewWalk(cfg WalkConfig, src RowSource, dangle, jump []float64) Walk {
 		dangle:       dangle,
 		jump:         jump,
 		scores:       append([]float64(nil), dangle...),
-		csr:          linalg.New(n),
+		a:            linalg.NewRows[float64](n),
 		workers:      1,
-		materialized: true, // a fresh CSR matches an empty source
+		materialized: true, // an empty matrix matches an empty source
 		vecA:         make([]float64, n),
 		vecB:         make([]float64, n),
 		norm:         make([]float64, n),
@@ -117,7 +118,7 @@ func (w *Walk) SetComputeShards(k int) {
 func (w *Walk) SetSpMVDelegate(fn SpMVDelegate) { w.spmv = fn }
 
 // SpMVBlocks implements BlockScatterer.
-func (w *Walk) SpMVBlocks() int { return linalg.BlockCount(w.csr.N()) }
+func (w *Walk) SpMVBlocks() int { return linalg.BlockCount(w.a.N()) }
 
 // SpMVScatterBlocks implements BlockScatterer: it rematerializes any dirty
 // rows, then computes the canonical block partials of Aᵀx. Row
@@ -125,14 +126,14 @@ func (w *Walk) SpMVBlocks() int { return linalg.BlockCount(w.csr.N()) }
 // folded the same reports returns bit-identical partials.
 func (w *Walk) SpMVScatterBlocks(x []float64, lob, hib int) ([][]float64, []float64) {
 	w.Refresh()
-	return w.csr.ScatterBlocks(x, lob, hib)
+	return linalg.ScatterBlocks(w.a, x, lob, hib)
 }
 
 // Matrix returns the row-normalized matrix as of the last refresh
 // (read-only).
-func (w *Walk) Matrix() *linalg.CSR { return w.csr }
+func (w *Walk) Matrix() *linalg.Rows[float64] { return w.a }
 
-// Refresh rematerializes the CSR rows whose source changed since the last
+// Refresh rematerializes the matrix rows whose source changed since the last
 // refresh — only the dirty rows in steady state, every row after Resume.
 // Each row is normalized to sum 1; a row with no positive weight is left
 // empty (dangling). Materialization is a pure function of the row's
@@ -143,7 +144,7 @@ func (w *Walk) Refresh() {
 		return
 	}
 	if !w.materialized {
-		for i := 0; i < w.csr.N(); i++ {
+		for i := 0; i < w.a.N(); i++ {
 			w.setRow(i)
 		}
 		w.materialized = true
@@ -155,16 +156,28 @@ func (w *Walk) Refresh() {
 	w.src.ClearDirty()
 }
 
+// setRow rematerializes row i. The sum runs in ascending column order, so
+// it matches a dense left-to-right row scan bit for bit.
 func (w *Walk) setRow(i int) {
-	w.colScratch, w.valScratch = w.src.AppendRow(i, w.colScratch[:0], w.valScratch[:0])
-	w.csr.SetRow(i, w.colScratch, w.valScratch)
-	w.csr.NormalizeRow(i)
+	cols, vals := w.src.AppendRow(i, w.colScratch[:0], w.valScratch[:0])
+	w.colScratch, w.valScratch = cols, vals
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	if sum <= 0 {
+		cols, vals = nil, nil
+	}
+	for k := range vals {
+		vals[k] /= sum
+	}
+	w.a.SetRow(i, cols, vals)
 }
 
 // step computes dst = (1−α)·(Aᵀsrc + mass·dangle) + α·jump.
 func (w *Walk) step(dst, src []float64) {
 	if w.spmv == nil || !w.spmv(dst, src, w.dangle) {
-		w.csr.MulTranspose(dst, src, w.dangle, w.workers, &w.ws)
+		linalg.MulTranspose(w.a, dst, src, w.dangle, w.workers, &w.ws)
 	}
 	for j := range dst {
 		dst[j] = (1-w.cfg.Alpha)*dst[j] + w.cfg.Alpha*w.jump[j]

@@ -34,17 +34,13 @@ func clamp01(v float64) float64 {
 
 // Consumer tracks one data consumer's intentions and satisfaction.
 //
-// Preferences have two representations. The dense form (NewConsumer) stores
-// one float per provider. The sparse form (NewUniformConsumer) stores a
-// shared default plus per-provider overrides for the providers actually
-// experienced — at population scale almost every preference is still the
-// untouched default, so the sparse form keeps memory proportional to
-// interactions, not population². Both forms run the identical EMA
-// arithmetic, so they are bit-for-bit interchangeable.
+// Preferences are stored sparsely: a shared default plus per-provider
+// overrides for the providers actually experienced. At population scale
+// almost every preference is still the untouched default, so memory stays
+// proportional to interactions, not population².
 type Consumer struct {
-	prefs     []float64 // dense intention vector (nil in sparse form)
-	pop       int       // provider count in sparse form
-	def       float64   // sparse default preference
+	pop       int     // provider count
+	def       float64 // default preference
 	overrides map[int32]float64
 	sat       float64
 	memory    float64 //trustlint:derived EMA weight is configuration, re-established when the engine is rebuilt
@@ -52,29 +48,11 @@ type Consumer struct {
 	n         int64
 }
 
-// NewConsumer creates a consumer with initial preferences over providers.
-// memory in (0,1] is the EMA weight (0 selects DefaultMemory).
-func NewConsumer(prefs []float64, memory float64) (*Consumer, error) {
-	if len(prefs) == 0 {
-		return nil, fmt.Errorf("satisfaction: consumer needs at least one provider preference")
-	}
-	if memory == 0 {
-		memory = DefaultMemory
-	}
-	if memory < 0 || memory > 1 {
-		return nil, fmt.Errorf("satisfaction: memory %v out of (0,1]", memory)
-	}
-	c := &Consumer{prefs: make([]float64, len(prefs)), memory: memory}
-	for i, p := range prefs {
-		c.prefs[i] = clamp01(p)
-	}
-	return c, nil
-}
-
 // NewUniformConsumer creates a consumer whose preference for every one of n
 // providers starts at the same value. Deviations from the default accumulate
 // sparsely as qualities are observed, so memory stays proportional to the
-// providers actually experienced rather than the population.
+// providers actually experienced rather than the population. memory in
+// (0,1] is the EMA weight (0 selects DefaultMemory).
 func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("satisfaction: consumer needs at least one provider preference")
@@ -88,22 +66,10 @@ func NewUniformConsumer(n int, pref, memory float64) (*Consumer, error) {
 	return &Consumer{pop: n, def: clamp01(pref), memory: memory}, nil
 }
 
-// providerCount returns the number of providers the consumer has an
-// intention over, in either representation.
-func (c *Consumer) providerCount() int {
-	if c.prefs != nil {
-		return len(c.prefs)
-	}
-	return c.pop
-}
-
 // Preference returns the consumer's current preference for a provider.
 func (c *Consumer) Preference(provider int) float64 {
-	if provider < 0 || provider >= c.providerCount() {
+	if provider < 0 || provider >= c.pop {
 		return 0
-	}
-	if c.prefs != nil {
-		return c.prefs[provider]
 	}
 	if v, ok := c.overrides[int32(provider)]; ok {
 		return v
@@ -116,11 +82,7 @@ func (c *Consumer) Preference(provider int) float64 {
 // is assumed to be used by a data consumer to decide which providers she
 // prefers").
 func (c *Consumer) UpdatePreference(provider int, quality float64) {
-	if provider < 0 || provider >= c.providerCount() {
-		return
-	}
-	if c.prefs != nil {
-		c.prefs[provider] = (1-c.memory)*c.prefs[provider] + c.memory*clamp01(quality)
+	if provider < 0 || provider >= c.pop {
 		return
 	}
 	cur := c.def
@@ -139,7 +101,7 @@ func (c *Consumer) UpdatePreference(provider int, quality float64) {
 // or not among the candidates, and 1 when the system picked a most-preferred
 // candidate.
 func (c *Consumer) Adequacy(chosen int, candidates []int) float64 {
-	if chosen < 0 || chosen >= c.providerCount() {
+	if chosen < 0 || chosen >= c.pop {
 		return 0
 	}
 	best := 0.0
@@ -209,8 +171,8 @@ func (c *Consumer) Satisfaction() float64 {
 // Observations returns the number of allocation rounds folded in.
 func (c *Consumer) Observations() int64 { return c.n }
 
-// Provider tracks one data provider's intentions and satisfaction. Like
-// Consumer, it has a dense form (NewProvider: one willingness float per
+// Provider tracks one data provider's intentions and satisfaction. It has a
+// dense form (NewProvider: one willingness float per
 // consumer) and a sparse uniform form (NewUniformProvider: a shared default;
 // willingness is never mutated, so no overrides are needed).
 type Provider struct {

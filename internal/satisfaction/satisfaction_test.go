@@ -8,30 +8,24 @@ import (
 	"repro/internal/sim"
 )
 
-func TestNewConsumerValidation(t *testing.T) {
-	if _, err := NewConsumer(nil, 0.1); err == nil {
-		t.Fatal("empty prefs accepted")
-	}
-	if _, err := NewConsumer([]float64{0.5}, -1); err == nil {
-		t.Fatal("negative memory accepted")
-	}
-	if _, err := NewConsumer([]float64{0.5}, 1.5); err == nil {
-		t.Fatal("memory > 1 accepted")
-	}
-	c, err := NewConsumer([]float64{2, -1}, 0)
+// consumerWith returns a consumer whose starting preferences are prefs,
+// clamped into [0,1]: the engine only builds uniform consumers, so tests
+// that need uneven intentions write them in as overrides of a zero default.
+func consumerWith(t *testing.T, prefs []float64, memory float64) *Consumer {
+	t.Helper()
+	c, err := NewUniformConsumer(len(prefs), 0, memory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Preference(0) != 1 || c.Preference(1) != 0 {
-		t.Fatal("prefs not clamped")
+	c.overrides = make(map[int32]float64, len(prefs))
+	for i, p := range prefs {
+		c.overrides[int32(i)] = clamp01(p)
 	}
+	return c
 }
 
 func TestAdequacyBestChoice(t *testing.T) {
-	c, err := NewConsumer([]float64{0.2, 0.8, 0.4}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{0.2, 0.8, 0.4}, 0.1)
 	if got := c.Adequacy(1, []int{0, 1, 2}); got != 1 {
 		t.Fatalf("best-choice adequacy = %v, want 1", got)
 	}
@@ -44,10 +38,7 @@ func TestAdequacyBestChoice(t *testing.T) {
 }
 
 func TestAdequacyInvalidChoices(t *testing.T) {
-	c, err := NewConsumer([]float64{0.2, 0.8}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{0.2, 0.8}, 0.1)
 	if c.Adequacy(5, []int{0, 1}) != 0 {
 		t.Fatal("out-of-range chosen != 0")
 	}
@@ -60,20 +51,14 @@ func TestAdequacyInvalidChoices(t *testing.T) {
 }
 
 func TestAdequacyIndifferentConsumer(t *testing.T) {
-	c, err := NewConsumer([]float64{0, 0}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{0, 0}, 0.1)
 	if got := c.Adequacy(0, []int{0, 1}); got != 1 {
 		t.Fatalf("indifferent adequacy = %v, want 1", got)
 	}
 }
 
 func TestSatisfactionEMA(t *testing.T) {
-	c, err := NewConsumer([]float64{1, 0}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{1, 0}, 0.5)
 	if c.Satisfaction() != 0.5 {
 		t.Fatal("no-history satisfaction != 0.5")
 	}
@@ -93,10 +78,7 @@ func TestSatisfactionEMA(t *testing.T) {
 func TestLongRunConvergence(t *testing.T) {
 	// Consistently receiving the preferred provider drives satisfaction
 	// toward 1; consistently failing drives it toward 0.
-	c, err := NewConsumer([]float64{0.9, 0.1}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{0.9, 0.1}, 0.1)
 	for i := 0; i < 100; i++ {
 		c.Observe(0, []int{0, 1})
 	}
@@ -135,10 +117,7 @@ func TestImposedAllocationOnlyDents(t *testing.T) {
 }
 
 func TestPreferenceLearning(t *testing.T) {
-	c, err := NewConsumer([]float64{0.5, 0.5}, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := consumerWith(t, []float64{0.5, 0.5}, 0.2)
 	for i := 0; i < 50; i++ {
 		c.UpdatePreference(0, 1.0) // provider 0 delivers perfectly
 		c.UpdatePreference(1, 0.0) // provider 1 always fails
@@ -196,10 +175,7 @@ func TestSatisfactionAlwaysInUnitInterval(t *testing.T) {
 		for i := range prefs {
 			prefs[i] = rng.Float64()
 		}
-		c, err := NewConsumer(prefs, 0.1+rng.Float64()*0.9)
-		if err != nil {
-			return false
-		}
+		c := consumerWith(t, prefs, 0.1+rng.Float64()*0.9)
 		for step := 0; step < 50; step++ {
 			if rng.Bool(0.2) {
 				c.ObserveFailure()
@@ -223,14 +199,8 @@ func TestMonotoneBetterAllocationsBetterSatisfaction(t *testing.T) {
 	// Property: a consumer always given its top candidate ends at least as
 	// satisfied as one always given its worst candidate.
 	prefs := []float64{0.9, 0.5, 0.1}
-	top, err := NewConsumer(prefs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, err := NewConsumer(prefs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := consumerWith(t, prefs, 0.1)
+	worst := consumerWith(t, prefs, 0.1)
 	cands := []int{0, 1, 2}
 	for i := 0; i < 60; i++ {
 		top.Observe(0, cands)

@@ -6,20 +6,57 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSparseConsumerMatchesDense pins the representation equivalence the
-// scaling layer relies on: a sparse uniform-default consumer and a dense
-// consumer initialized to the same value run the identical EMA arithmetic,
-// so every observable — preferences, adequacy, satisfaction — is
-// bit-for-bit equal under any interleaving of operations.
+// denseConsumer is the reference dense form of Consumer: one preference
+// float per provider, folded by the same EMA arithmetic.
+type denseConsumer struct {
+	prefs   []float64
+	memory  float64
+	sat     float64
+	started bool
+	n       int64
+}
+
+func (d *denseConsumer) update(provider int, quality float64) {
+	d.prefs[provider] = (1-d.memory)*d.prefs[provider] + d.memory*clamp01(quality)
+}
+
+func (d *denseConsumer) adequacy(chosen int, candidates []int) float64 {
+	best, inSet := 0.0, false
+	for _, c := range candidates {
+		inSet = inSet || c == chosen
+		if d.prefs[c] > best {
+			best = d.prefs[c]
+		}
+	}
+	switch {
+	case !inSet:
+		return 0
+	case best == 0:
+		return 1
+	}
+	return d.prefs[chosen] / best
+}
+
+func (d *denseConsumer) fold(a float64) float64 {
+	if !d.started {
+		d.sat, d.started = a, true
+	} else {
+		d.sat = (1-d.memory)*d.sat + d.memory*a
+	}
+	d.n++
+	return a
+}
+
+// TestSparseConsumerMatchesDense pins the representation the scaling layer
+// relies on: a sparse uniform-default consumer runs exactly the EMA
+// arithmetic of a dense per-provider vector initialized to the same value,
+// so every observable — preferences, adequacy, satisfaction — is bit-for-bit
+// equal to the dense reference under any interleaving of operations.
 func TestSparseConsumerMatchesDense(t *testing.T) {
 	const n = 40
-	prefs := make([]float64, n)
-	for i := range prefs {
-		prefs[i] = 0.5
-	}
-	dense, err := NewConsumer(prefs, 0.2)
-	if err != nil {
-		t.Fatal(err)
+	dense := &denseConsumer{prefs: make([]float64, n), memory: 0.2}
+	for i := range dense.prefs {
+		dense.prefs[i] = 0.5
 	}
 	sparse, err := NewUniformConsumer(n, 0.5, 0.2)
 	if err != nil {
@@ -30,34 +67,34 @@ func TestSparseConsumerMatchesDense(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0:
 			p, q := rng.Intn(n), rng.Float64()
-			dense.UpdatePreference(p, q)
+			dense.update(p, q)
 			sparse.UpdatePreference(p, q)
 		case 1:
 			cands := rng.Sample(n, 1+rng.Intn(8))
 			chosen := cands[rng.Intn(len(cands))]
-			if dense.Observe(chosen, cands) != sparse.Observe(chosen, cands) {
+			if dense.fold(dense.adequacy(chosen, cands)) != sparse.Observe(chosen, cands) {
 				t.Fatalf("step %d: Observe diverged", step)
 			}
 		case 2:
 			cands := rng.Sample(n, 1+rng.Intn(8))
 			chosen, q := cands[rng.Intn(len(cands))], rng.Float64()
-			if dense.ObserveQuality(chosen, cands, q) != sparse.ObserveQuality(chosen, cands, q) {
+			if dense.fold(dense.adequacy(chosen, cands)*clamp01(q)) != sparse.ObserveQuality(chosen, cands, q) {
 				t.Fatalf("step %d: ObserveQuality diverged", step)
 			}
 		case 3:
-			dense.ObserveFailure()
+			dense.fold(0)
 			sparse.ObserveFailure()
 		}
-		if dense.Satisfaction() != sparse.Satisfaction() {
-			t.Fatalf("step %d: satisfaction %v != %v", step, dense.Satisfaction(), sparse.Satisfaction())
+		if dense.sat != sparse.Satisfaction() {
+			t.Fatalf("step %d: satisfaction %v != %v", step, dense.sat, sparse.Satisfaction())
 		}
 	}
 	for p := 0; p < n; p++ {
-		if dense.Preference(p) != sparse.Preference(p) {
-			t.Fatalf("preference[%d]: dense %v != sparse %v", p, dense.Preference(p), sparse.Preference(p))
+		if dense.prefs[p] != sparse.Preference(p) {
+			t.Fatalf("preference[%d]: dense %v != sparse %v", p, dense.prefs[p], sparse.Preference(p))
 		}
 	}
-	if dense.Observations() != sparse.Observations() {
+	if dense.n != sparse.Observations() {
 		t.Fatal("observation counts diverged")
 	}
 }
@@ -103,24 +140,30 @@ func TestSparseConstructorValidation(t *testing.T) {
 	if _, err := NewUniformConsumer(5, 0.5, -1); err == nil {
 		t.Fatal("negative memory accepted")
 	}
+	if _, err := NewUniformConsumer(5, 0.5, 1.5); err == nil {
+		t.Fatal("memory > 1 accepted")
+	}
 	if _, err := NewUniformProvider(0, 0.8, 0.1); err == nil {
 		t.Fatal("n=0 provider accepted")
 	}
 	if _, err := NewUniformProvider(5, 0.8, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
 	}
-	c, err := NewUniformConsumer(3, 7, 0.1) // default clamped into [0,1]
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Preference(1) != 1 {
-		t.Fatalf("default preference %v not clamped to 1", c.Preference(1))
+	for pref, want := range map[float64]float64{7: 1, -1: 0} { // default clamped into [0,1]
+		c, err := NewUniformConsumer(3, pref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Preference(1) != want {
+			t.Fatalf("default preference %v clamped to %v, want %v", pref, c.Preference(1), want)
+		}
 	}
 }
 
 // TestSparseConsumerStateRoundTrip checks that a sparse consumer's state
 // (default + overrides) survives a State/SetState cycle bit for bit, and
-// that mismatched representations are rejected instead of silently merged.
+// that a state for another population is rejected instead of silently
+// merged.
 func TestSparseConsumerStateRoundTrip(t *testing.T) {
 	const n = 20
 	c, err := NewUniformConsumer(n, 0.5, 0.1)
@@ -134,9 +177,6 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		c.Observe(cands[0], cands)
 	}
 	st := c.State()
-	if st.Prefs != nil {
-		t.Fatal("sparse consumer serialized a dense vector")
-	}
 	back, err := NewUniformConsumer(n, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +193,7 @@ func TestSparseConsumerStateRoundTrip(t *testing.T) {
 		t.Fatal("satisfaction state diverged after round trip")
 	}
 
-	// Representation mismatches must error.
-	dense, err := NewConsumer(make([]float64, n), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.SetState(dense.State()); err == nil {
-		t.Fatal("dense state restored into sparse consumer")
-	}
+	// A population mismatch must error.
 	wrong, err := NewUniformConsumer(n+1, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)

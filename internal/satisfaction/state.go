@@ -4,12 +4,11 @@ import "fmt"
 
 // ConsumerState is the serializable mutable state of a Consumer. The EMA
 // memory is configuration, not state: it is re-established when the owning
-// engine is rebuilt from the same scenario settings. Dense consumers carry
-// the full Prefs vector; sparse (uniform-default) consumers carry only the
-// overrides, so snapshot size tracks interactions rather than population².
+// engine is rebuilt from the same scenario settings. Only the overrides of
+// the default preference travel, so snapshot size tracks interactions
+// rather than population².
 type ConsumerState struct {
-	Prefs []float64 // dense form only (nil for sparse consumers)
-	// Sparse form: provider count, shared default, and deviations.
+	// Provider count, shared default, and deviations from it.
 	Pop       int
 	Def       float64
 	Overrides map[int32]float64
@@ -20,13 +19,7 @@ type ConsumerState struct {
 
 // State captures the consumer's mutable state.
 func (c *Consumer) State() ConsumerState {
-	st := ConsumerState{Sat: c.sat, Started: c.started, N: c.n}
-	if c.prefs != nil {
-		st.Prefs = append([]float64(nil), c.prefs...)
-		return st
-	}
-	st.Pop = c.pop
-	st.Def = c.def
+	st := ConsumerState{Pop: c.pop, Def: c.def, Sat: c.sat, Started: c.started, N: c.n}
 	if len(c.overrides) > 0 {
 		st.Overrides = make(map[int32]float64, len(c.overrides))
 		for k, v := range c.overrides {
@@ -36,28 +29,18 @@ func (c *Consumer) State() ConsumerState {
 	return st
 }
 
-// SetState restores a previously captured state. The representation and the
-// provider count must match the consumer's own.
+// SetState restores a previously captured state. The provider count must
+// match the consumer's own.
 func (c *Consumer) SetState(st ConsumerState) error {
-	if c.prefs != nil {
-		if len(st.Prefs) != len(c.prefs) {
-			return fmt.Errorf("satisfaction: consumer state has %d preferences, want %d", len(st.Prefs), len(c.prefs))
-		}
-		copy(c.prefs, st.Prefs)
-	} else {
-		if st.Prefs != nil {
-			return fmt.Errorf("satisfaction: dense consumer state restored into sparse consumer")
-		}
-		if st.Pop != c.pop {
-			return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
-		}
-		c.def = st.Def
-		c.overrides = nil
-		if len(st.Overrides) > 0 {
-			c.overrides = make(map[int32]float64, len(st.Overrides))
-			for k, v := range st.Overrides {
-				c.overrides[k] = v
-			}
+	if st.Pop != c.pop {
+		return fmt.Errorf("satisfaction: consumer state for %d providers, want %d", st.Pop, c.pop)
+	}
+	c.def = st.Def
+	c.overrides = nil
+	if len(st.Overrides) > 0 {
+		c.overrides = make(map[int32]float64, len(st.Overrides))
+		for k, v := range st.Overrides {
+			c.overrides[k] = v
 		}
 	}
 	c.sat = st.Sat

@@ -21,7 +21,7 @@ func TestActivitySkewConcentratesConsumers(t *testing.T) {
 		e.Run(30)
 		counts := make([]int, 40)
 		for _, i := range *log {
-			counts[i.consumer]++
+			counts[i.Consumer]++
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 		return counts
@@ -47,7 +47,7 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 	e.Run(20)
 	counts := make([]int, 60)
 	for _, i := range *log {
-		counts[i.consumer]++
+		counts[i.Consumer]++
 	}
 	// The most active consumer must not always be peer 0 (the identity
 	// permutation decorrelates activity rank from peer id).
@@ -67,7 +67,7 @@ func TestActivityOrderDecorrelatesFromIDs(t *testing.T) {
 		e2.Run(20)
 		counts2 := make([]int, 60)
 		for _, i := range *log2 {
-			counts2[i.consumer]++
+			counts2[i.Consumer]++
 		}
 		max2, c2 := 0, 0
 		for id, c := range counts2 {

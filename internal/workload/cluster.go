@@ -10,10 +10,12 @@ import (
 // reads only round-immutable state (scores, graph, behaviours, membership,
 // honesty override) plus each plan's private RNG stream, and every mutation
 // is deferred to the sequential gather. The wire types below carry exactly
-// that: a plan is (consumer, RNG state), an outcome is the full
-// interactionResult. A worker holding a replica of the engine synced to the
-// same mutation generation produces bit-for-bit the outcomes the local
-// scatter would have, so delegation never perturbs results.
+// that: a plan is (consumer, RNG state), an outcome is everything gather
+// needs. The engine's own round pipeline uses the same two types, so
+// nothing is converted on the way out or back. A worker holding a replica
+// of the engine synced to the same mutation generation produces bit-for-bit
+// the outcomes the local scatter would have, so delegation never perturbs
+// results.
 
 // PlannedInteraction is the wire form of one scheduled interaction: the
 // consumer plus the exact state of the private stream its simulation will
@@ -24,11 +26,13 @@ type PlannedInteraction struct {
 	RNG      sim.RNGState
 }
 
-// InteractionOutcome is the wire form of one simulated interaction result,
-// mirroring interactionResult field for field.
+// InteractionOutcome is the result of simulating one planned interaction
+// against the round-immutable state, and its wire form.
 type InteractionOutcome struct {
-	Consumer   int
-	Provider   int // -1 when no provider was found
+	Consumer int
+	Provider int // -1 when no provider was found
+	// Absent marks a request whose scheduled consumer is not present in the
+	// network (a left peer): the interaction is dropped entirely.
 	Absent     bool
 	GateFailed bool
 	Candidates []int
@@ -71,63 +75,19 @@ func (e *Engine) MutationGen() uint64 { return e.mutationGen }
 func (e *Engine) NoteMutation() { e.mutationGen++ }
 
 // SimulateChunk simulates a contiguous chunk of a round's plans against the
-// engine's current state — the worker-side half of a delegated scatter (and
-// the master's local fallback for a chunk whose worker died). It fans the
-// chunk over the engine's shards exactly like the local scatter phase, and
-// reads only round-immutable state, so outcomes are bit-identical wherever
-// the chunk runs.
+// engine's current state, fanning it over the engine's shards. It is the
+// local scatter phase, the worker-side half of a delegated scatter, and the
+// master's local fallback for a chunk whose worker died; it reads only
+// round-immutable state, so outcomes are bit-identical wherever the chunk
+// runs.
 func (e *Engine) SimulateChunk(plans []PlannedInteraction, scores []float64, gate float64, pool []int, round int) []InteractionOutcome {
-	ip := make([]interactionPlan, len(plans))
-	for k := range plans {
-		ip[k].consumer = plans[k].Consumer
-		ip[k].rng.SetState(plans[k].RNG)
-	}
-	results := make([]interactionResult, len(ip))
-	sim.ForChunks(e.shards, len(ip), func(lo, hi int) {
+	out := make([]InteractionOutcome, len(plans))
+	sim.ForChunks(e.shards, len(plans), func(lo, hi int) {
+		var rng sim.RNG // one stream buffer per chunk, reset from each plan
 		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&ip[k], scores, gate, pool, round)
+			rng.SetState(plans[k].RNG)
+			out[k] = e.simulate(&rng, plans[k].Consumer, scores, gate, pool, round)
 		}
 	})
-	out := make([]InteractionOutcome, len(results))
-	for k := range results {
-		out[k] = exportOutcome(&results[k])
-	}
 	return out
-}
-
-// exportPlans converts a round's plans to their wire form.
-func exportPlans(plans []interactionPlan) []PlannedInteraction {
-	out := make([]PlannedInteraction, len(plans))
-	for k := range plans {
-		out[k] = PlannedInteraction{Consumer: plans[k].consumer, RNG: plans[k].rng.State()}
-	}
-	return out
-}
-
-func exportOutcome(r *interactionResult) InteractionOutcome {
-	return InteractionOutcome{
-		Consumer:   r.consumer,
-		Provider:   r.provider,
-		Absent:     r.absent,
-		GateFailed: r.gateFailed,
-		Candidates: r.candidates,
-		Refused:    r.refused,
-		Quality:    r.quality,
-		Rating:     r.rating,
-		Honest:     r.honest,
-	}
-}
-
-func importOutcome(o *InteractionOutcome) interactionResult {
-	return interactionResult{
-		consumer:   o.Consumer,
-		provider:   o.Provider,
-		absent:     o.Absent,
-		gateFailed: o.GateFailed,
-		candidates: o.Candidates,
-		refused:    o.Refused,
-		quality:    o.Quality,
-		rating:     o.Rating,
-		honest:     o.Honest,
-	}
 }

@@ -27,37 +27,14 @@ import (
 //     mechanism) in interaction-index order, so transaction ids, EMA folds
 //     and the gatherer's disclosure draws are canonical.
 
-// interactionPlan is one scheduled request: the consumer plus the private
-// RNG stream its simulation will consume.
-type interactionPlan struct {
-	consumer int
-	rng      sim.RNG
-}
-
-// interactionResult is the outcome of simulating one planned interaction
-// against the round-immutable state.
-type interactionResult struct {
-	consumer int
-	provider int // -1 when no provider was found
-	// absent marks a request whose scheduled consumer is not present in the
-	// network (a left peer): the interaction is dropped entirely.
-	absent     bool
-	gateFailed bool
-	candidates []int
-	refused    bool
-	quality    float64
-	rating     float64
-	honest     bool
-}
-
 // planRound draws the round's interaction schedule from the main stream.
 // Consumers come from the active-peer index when churn has thinned the
 // population (nil pool = everyone present = uniform over 0..n, identical
 // draws to index-free planning). The Zipf activity path keeps mapping over
 // the full id range — its skew is a property of peer identity, so absent
 // heavy hitters simply drop their requests in simulate.
-func (e *Engine) planRound(pool []int) []interactionPlan {
-	plans := make([]interactionPlan, e.cfg.InteractionsPerRound)
+func (e *Engine) planRound(pool []int) []PlannedInteraction {
+	plans := make([]PlannedInteraction, e.cfg.InteractionsPerRound)
 	for k := range plans {
 		var consumer int
 		switch {
@@ -68,7 +45,7 @@ func (e *Engine) planRound(pool []int) []interactionPlan {
 		default:
 			consumer = e.rng.Intn(e.cfg.NumPeers)
 		}
-		plans[k] = interactionPlan{consumer: consumer, rng: *e.rng.Split()}
+		plans[k] = PlannedInteraction{Consumer: consumer, RNG: e.rng.Split().State()}
 	}
 	return plans
 }
@@ -78,23 +55,13 @@ func (e *Engine) planRound(pool []int) []interactionPlan {
 // accepts, handing the whole phase to the external executor (the cluster
 // master). The delegate contract (see cluster.go) makes the two paths
 // bit-identical.
-func (e *Engine) scatter(plans []interactionPlan, scores []float64, gate float64, pool []int, round int) []interactionResult {
+func (e *Engine) scatter(plans []PlannedInteraction, scores []float64, gate float64, pool []int, round int) []InteractionOutcome {
 	if e.scatterDelegate != nil {
-		if out, ok := e.scatterDelegate(exportPlans(plans), scores, gate, pool, round); ok && len(out) == len(plans) {
-			results := make([]interactionResult, len(out))
-			for k := range out {
-				results[k] = importOutcome(&out[k])
-			}
-			return results
+		if out, ok := e.scatterDelegate(plans, scores, gate, pool, round); ok && len(out) == len(plans) {
+			return out
 		}
 	}
-	results := make([]interactionResult, len(plans))
-	sim.ForChunks(e.shards, len(plans), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			results[k] = e.simulate(&plans[k], scores, gate, pool, round)
-		}
-	})
-	return results
+	return e.SimulateChunk(plans, scores, gate, pool, round)
 }
 
 // simulate runs one interaction against round-immutable state. It must not
@@ -102,14 +69,13 @@ func (e *Engine) scatter(plans []interactionPlan, scores []float64, gate float64
 // plan's private stream, and every mutation is deferred to gather. The round
 // index is passed explicitly (rather than read off the engine) so a worker
 // replica can simulate the master's round without advancing its own clock.
-func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, pool []int, round int) interactionResult {
-	rng := &p.rng
-	r := interactionResult{consumer: p.consumer, provider: -1}
-	if !e.PeerActive(p.consumer) {
-		r.absent = true
+func (e *Engine) simulate(rng *sim.RNG, consumer int, scores []float64, gate float64, pool []int, round int) InteractionOutcome {
+	r := InteractionOutcome{Consumer: consumer, Provider: -1}
+	if !e.PeerActive(consumer) {
+		r.Absent = true
 		return r
 	}
-	candidates := e.sampleCandidates(rng, p.consumer, pool)
+	candidates := e.sampleCandidates(rng, consumer, pool)
 	if gate >= 0 {
 		eligible := candidates[:0]
 		for _, c := range candidates {
@@ -118,12 +84,12 @@ func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, po
 			}
 		}
 		if len(eligible) == 0 {
-			r.gateFailed = true
+			r.GateFailed = true
 			return r
 		}
 		candidates = eligible
 	}
-	r.candidates = candidates
+	r.Candidates = candidates
 	var provider int
 	switch e.cfg.Selection {
 	case SelectProportional:
@@ -134,35 +100,35 @@ func (e *Engine) simulate(p *interactionPlan, scores []float64, gate float64, po
 	if provider < 0 {
 		return r
 	}
-	r.provider = provider
+	r.Provider = provider
 	pu := e.snet.User(provider)
 	if !pu.Behavior.Serves(rng) {
-		r.refused = true
-		r.honest = true
+		r.Refused = true
+		r.Honest = true
 		return r
 	}
-	r.quality = pu.Behavior.ServiceQuality(rng, round)
-	r.rating, r.honest = e.rate(rng, e.snet.User(p.consumer), p.consumer, provider, r.quality)
+	r.Quality = pu.Behavior.ServiceQuality(rng, round)
+	r.Rating, r.Honest = e.rate(rng, e.snet.User(consumer), consumer, provider, r.Quality)
 	return r
 }
 
 // gather merges the shard results into the shared state in canonical
 // (interaction-index) order.
-func (e *Engine) gather(results []interactionResult, st *RoundStats) {
+func (e *Engine) gather(results []InteractionOutcome, st *RoundStats) {
 	for k := range results {
 		r := &results[k]
-		if r.absent {
+		if r.Absent {
 			continue
 		}
-		if r.gateFailed {
+		if r.GateFailed {
 			e.GateFailures++
-			e.consumers[r.consumer].ObserveFailure()
-			e.satDirty.Mark(r.consumer)
+			e.consumers[r.Consumer].ObserveFailure()
+			e.satDirty.Mark(r.Consumer)
 			continue
 		}
-		if r.provider < 0 {
-			e.consumers[r.consumer].ObserveFailure()
-			e.satDirty.Mark(r.consumer)
+		if r.Provider < 0 {
+			e.consumers[r.Consumer].ObserveFailure()
+			e.satDirty.Mark(r.Consumer)
 			continue
 		}
 		st.Interactions++
@@ -173,40 +139,40 @@ func (e *Engine) gather(results []interactionResult, st *RoundStats) {
 
 		// The provider judges the (possibly imposed) request against its
 		// own intentions.
-		e.providers[r.provider].Observe(r.consumer)
-		e.satDirty.Mark(r.provider)
-		e.satDirty.Mark(r.consumer)
+		e.providers[r.Provider].Observe(r.Consumer)
+		e.satDirty.Mark(r.Provider)
+		e.satDirty.Mark(r.Consumer)
 
-		if r.refused {
+		if r.Refused {
 			st.BadService++
 			st.Refused++
-			e.recordServed(r.provider, 0)
-			e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, 0)
-			e.consumers[r.consumer].UpdatePreference(r.provider, 0)
-			e.offerReport(tx, r.consumer, r.provider, 0)
+			e.recordServed(r.Provider, 0)
+			e.consumers[r.Consumer].ObserveQuality(r.Provider, r.Candidates, 0)
+			e.consumers[r.Consumer].UpdatePreference(r.Provider, 0)
+			e.offerReport(tx, r.Consumer, r.Provider, 0)
 			continue
 		}
 
 		// The consumer judges the allocation against its intentions and the
 		// quality it actually received.
-		e.consumers[r.consumer].ObserveQuality(r.provider, r.candidates, r.quality)
-		if r.quality < 0.5 {
+		e.consumers[r.Consumer].ObserveQuality(r.Provider, r.Candidates, r.Quality)
+		if r.Quality < 0.5 {
 			st.BadService++
 		}
-		e.recordServed(r.provider, r.quality)
-		e.consumers[r.consumer].UpdatePreference(r.provider, r.quality)
+		e.recordServed(r.Provider, r.Quality)
+		e.consumers[r.Consumer].UpdatePreference(r.Provider, r.Quality)
 		if e.ledger != nil {
 			// Interacting discloses the consumer's profile to the provider.
 			e.ledger.Record(privacy.Disclosure{
-				Owner:       r.consumer,
-				Item:        e.profileItem[r.consumer],
+				Owner:       r.Consumer,
+				Item:        e.profileItem[r.Consumer],
 				Sensitivity: social.Medium,
-				Recipient:   r.provider,
+				Recipient:   r.Provider,
 				Purpose:     privacy.SocialUse,
 				Consented:   true,
 			})
 		}
-		e.offerReport(tx, r.consumer, r.provider, r.rating)
+		e.offerReport(tx, r.Consumer, r.Provider, r.Rating)
 	}
 }
 

@@ -177,12 +177,12 @@ func TestGroundTruthMatchesLogScan(t *testing.T) {
 	sums := make([]float64, 50)
 	counts := make([]int, 50)
 	for _, i := range *log {
-		q := i.quality
-		if i.refused {
+		q := i.Quality
+		if i.Refused {
 			q = 0
 		}
-		sums[i.provider] += q
-		counts[i.provider]++
+		sums[i.Provider] += q
+		counts[i.Provider]++
 	}
 	want := make([]float64, 50)
 	for p := range want {

@@ -278,7 +278,7 @@ type Engine struct {
 	satDirty metrics.DirtySet
 	// tap, when set, sees every completed interaction in gather order. Only
 	// tests set it, as an oracle for the incremental accumulators.
-	tap func(*interactionResult) //trustlint:derived test-only observer, never set outside tests
+	tap func(*InteractionOutcome) //trustlint:derived test-only observer, never set outside tests
 }
 
 // NewEngine assembles a scenario around the provided mechanism (which must

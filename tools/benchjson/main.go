@@ -10,6 +10,11 @@
 // snapshot-bytes, ...) land in each row's "metrics" map; tools/benchdiff
 // gates regressions against a committed baseline.
 //
+// A row printed several times (go test -count N) is folded into one: its
+// ns/op and each metric become the median over the repeats, and its
+// iterations the total. Speedups are taken between the folded
+// medians, so one noisy repeat cannot move a gated number.
+//
 //	go test -run '^$' -bench BenchmarkShardedEpoch . | go run ./tools/benchjson
 package main
 
@@ -20,6 +25,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -49,6 +55,38 @@ type result struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// repeats collects every printed run of one benchmark row.
+type repeats struct {
+	iterations int
+	ns         []float64
+	metrics    map[string][]float64
+}
+
+// fold reduces the repeats to one row: median ns/op and per-metric
+// medians, total iterations.
+func (r *repeats) fold() result {
+	res := result{Iterations: r.iterations, NsPerOp: median(r.ns)}
+	for unit, vs := range r.metrics {
+		if res.Metrics == nil {
+			res.Metrics = map[string]float64{}
+		}
+		res.Metrics[unit] = median(vs)
+	}
+	return res
+}
+
+// median returns the middle value of vs (the mean of the middle two for an
+// even count).
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
+}
+
 type output struct {
 	Benchmarks map[string]result `json:"benchmarks"`
 	// Speedup is ns/op(parallelism=1) / ns/op(parallelism=K) per case and
@@ -60,7 +98,7 @@ type output struct {
 	// For the mechanism bench, rows whose name differs only in
 	// kernel=sparse vs kernel=dense additionally get a
 	// "kernel=sparse-vs-dense" entry: ns/op(dense) / ns/op(sparse), the
-	// dense-baseline speedup of the CSR kernel.
+	// dense-baseline speedup of the sparse kernel.
 	//
 	// For the cluster bench, rows whose name differs only in
 	// topology=workersK vs topology=local get a
@@ -101,8 +139,7 @@ func main() {
 
 func process(r io.Reader, w io.Writer) error {
 	out := output{Benchmarks: map[string]result{}}
-	nsByCase := map[string]map[int]float64{} // case key -> parallelism -> ns/op
-	axisByCase := map[string]string{}        // case key -> "shards" | "workers"
+	rows := map[string]*repeats{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -118,8 +155,30 @@ func process(r io.Reader, w io.Writer) error {
 		if err != nil {
 			continue
 		}
-		out.Benchmarks[m[1]] = result{Iterations: iters, NsPerOp: ns, Metrics: customMetrics(sc.Text())}
-		if c := shardCase.FindStringSubmatch(m[1]); c != nil {
+		rep := rows[m[1]]
+		if rep == nil {
+			rep = &repeats{}
+			rows[m[1]] = rep
+		}
+		rep.iterations += iters
+		rep.ns = append(rep.ns, ns)
+		for unit, v := range customMetrics(sc.Text()) {
+			if rep.metrics == nil {
+				rep.metrics = map[string][]float64{}
+			}
+			rep.metrics[unit] = append(rep.metrics[unit], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	nsByCase := map[string]map[int]float64{} // case key -> parallelism -> ns/op
+	axisByCase := map[string]string{}        // case key -> "shards" | "workers"
+	for name, rep := range rows {
+		row := rep.fold()
+		out.Benchmarks[name] = row
+		ns := row.NsPerOp
+		if c := shardCase.FindStringSubmatch(name); c != nil {
 			shards, _ := strconv.Atoi(c[2])
 			key := "users=" + c[1]
 			if nsByCase[key] == nil {
@@ -127,7 +186,7 @@ func process(r io.Reader, w io.Writer) error {
 			}
 			nsByCase[key][shards] = ns
 			axisByCase[key] = "shards"
-		} else if c := workerCase.FindStringSubmatch(m[1]); c != nil {
+		} else if c := workerCase.FindStringSubmatch(name); c != nil {
 			workers, _ := strconv.Atoi(c[2])
 			key := c[1]
 			if nsByCase[key] == nil {
@@ -136,9 +195,6 @@ func process(r io.Reader, w io.Writer) error {
 			nsByCase[key][workers] = ns
 			axisByCase[key] = "workers"
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
 	}
 	for key, byShards := range nsByCase {
 		base, ok := byShards[1]

@@ -90,3 +90,49 @@ func TestProcessEmptyInput(t *testing.T) {
 		t.Fatalf("empty input should produce an empty document:\n%s", sb.String())
 	}
 }
+
+// TestProcessFoldsRepeatedRows checks that a row printed once per repeat
+// (go test -count N) folds into one row of medians, and that speedups are
+// taken between the folded medians.
+func TestProcessFoldsRepeatedRows(t *testing.T) {
+	const repeated = `BenchmarkSweep/grid=5x5/workers=1-8   1   300 ns/op   30 B/op   2 allocs/op
+BenchmarkSweep/grid=5x5/workers=4-8   1   900 ns/op
+BenchmarkSweep/grid=5x5/workers=1-8   1   100 ns/op   10 B/op   2 allocs/op
+BenchmarkSweep/grid=5x5/workers=4-8   1    50 ns/op
+BenchmarkSweep/grid=5x5/workers=1-8   1   200 ns/op   20 B/op   2 allocs/op
+BenchmarkSweep/grid=5x5/workers=4-8   1    40 ns/op
+BenchmarkSweep/grid=5x5/workers=4-8   1    60 ns/op
+`
+	var sb strings.Builder
+	if err := process(strings.NewReader(repeated), &sb); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Benchmarks map[string]struct {
+			Iterations int                `json:"iterations"`
+			NsPerOp    float64            `json:"ns_per_op"`
+			Metrics    map[string]float64 `json:"metrics"`
+		} `json:"benchmarks"`
+		Speedup map[string]float64 `json:"speedup"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Benchmarks) != 2 {
+		t.Fatalf("parsed %d rows, want 2", len(out.Benchmarks))
+	}
+	serial := out.Benchmarks["Sweep/grid=5x5/workers=1"]
+	if serial.NsPerOp != 200 || serial.Iterations != 3 {
+		t.Fatalf("odd repeats: row %+v, want median 200 ns/op over 3 iterations", serial)
+	}
+	if serial.Metrics["B/op"] != 20 || serial.Metrics["allocs/op"] != 2 {
+		t.Fatalf("metric medians = %+v, want B/op 20, allocs/op 2", serial.Metrics)
+	}
+	// Even count: the mean of the middle two, so the 900 ns outlier drops.
+	if parallel := out.Benchmarks["Sweep/grid=5x5/workers=4"]; parallel.NsPerOp != 55 || parallel.Iterations != 4 {
+		t.Fatalf("even repeats: row %+v, want median 55 ns/op over 4 iterations", parallel)
+	}
+	if got := out.Speedup["Sweep/grid=5x5/workers=4"]; got != 200.0/55 {
+		t.Fatalf("speedup = %v, want the median ratio %v", got, 200.0/55)
+	}
+}

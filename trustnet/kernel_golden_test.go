@@ -7,7 +7,7 @@ import (
 )
 
 // kernelMechanisms is the full mechanism matrix of the sparse-kernel golden
-// suite. EigenTrust and PowerTrust run the CSR kernel; the rest pin the
+// suite. EigenTrust and PowerTrust run the sparse kernel; the rest pin the
 // refactor's blast radius (their scores must be untouched by it).
 func kernelMechanisms() map[string]func() MechanismFactory {
 	return map[string]func() MechanismFactory{
