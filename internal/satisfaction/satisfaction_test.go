@@ -24,6 +24,27 @@ func consumerWith(t *testing.T, prefs []float64, memory float64) *Consumer {
 	return c
 }
 
+func TestNewConsumerValidation(t *testing.T) {
+	if _, err := NewUniformConsumer(0, 0.5, 0.1); err == nil {
+		t.Fatal("n=0 consumer accepted")
+	}
+	if _, err := NewUniformConsumer(5, 0.5, -1); err == nil {
+		t.Fatal("negative memory accepted")
+	}
+	if _, err := NewUniformConsumer(5, 0.5, 1.5); err == nil {
+		t.Fatal("memory > 1 accepted")
+	}
+	for pref, want := range map[float64]float64{7: 1, -1: 0} { // default clamped into [0,1]
+		c, err := NewUniformConsumer(3, pref, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Preference(1) != want {
+			t.Fatalf("default preference %v clamped to %v, want %v", pref, c.Preference(1), want)
+		}
+	}
+}
+
 func TestAdequacyBestChoice(t *testing.T) {
 	c := consumerWith(t, []float64{0.2, 0.8, 0.4}, 0.1)
 	if got := c.Adequacy(1, []int{0, 1, 2}); got != 1 {

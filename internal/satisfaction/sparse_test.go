@@ -134,29 +134,11 @@ func TestSparseProviderMatchesDense(t *testing.T) {
 }
 
 func TestSparseConstructorValidation(t *testing.T) {
-	if _, err := NewUniformConsumer(0, 0.5, 0.1); err == nil {
-		t.Fatal("n=0 consumer accepted")
-	}
-	if _, err := NewUniformConsumer(5, 0.5, -1); err == nil {
-		t.Fatal("negative memory accepted")
-	}
-	if _, err := NewUniformConsumer(5, 0.5, 1.5); err == nil {
-		t.Fatal("memory > 1 accepted")
-	}
 	if _, err := NewUniformProvider(0, 0.8, 0.1); err == nil {
 		t.Fatal("n=0 provider accepted")
 	}
 	if _, err := NewUniformProvider(5, 0.8, 2); err == nil {
 		t.Fatal("memory > 1 accepted")
-	}
-	for pref, want := range map[float64]float64{7: 1, -1: 0} { // default clamped into [0,1]
-		c, err := NewUniformConsumer(3, pref, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Preference(1) != want {
-			t.Fatalf("default preference %v clamped to %v, want %v", pref, c.Preference(1), want)
-		}
 	}
 }
 
